@@ -26,7 +26,9 @@ shrinking near the time ends (the natural boundary conditions are imposed
 weakly through the quadratic form).  Undivided stencils keep the form
 O(1) on the roughest grid modes instead of O(1/h^12), which is all the
 regularization role requires; divided stencils would make the inner
-systems numerically unsolvable at these grid sizes.
+systems numerically unsolvable at these grid sizes.  Circulant x factors
+and row-constant weights split the phi inner system over spatial Fourier
+modes into banded matrices in t, solved exactly (:class:`~mfgplan.grid.ModeBanded`).
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solveh_banded
 from scipy.optimize import root
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.sparse.linalg import cg  # noqa: F401  (perfbench/tracing.py spans congestion.cg by name)
 
 from .grid import (
     Field,
     Grid,
+    ModeBanded,
     TimeSeries,
     antiderivative_x,
     dt_interior,
@@ -108,7 +111,6 @@ class CongestionSpec:
     tol_fp: float = 1e-6
     damping: float = 0.5
     max_outer: int = 40
-    inner_tol: float = 1e-12
     stagnation_window: int = 6
 
     def __post_init__(self):
@@ -146,8 +148,8 @@ class CongestionSpec:
         object.__setattr__(self, "eps_schedule", sched)
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if self.tol_fp <= 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol_fp <= 0:
+            raise ValueError("tolerance must be positive")
 
     @property
     def k0(self) -> float:
@@ -187,51 +189,39 @@ class OperatorImage:
 # undivided difference stencils for the sixth-order quadratic form
 
 
-def _dt_fwd(v: Field, n: int) -> Field:
-    return np.diff(v, n=n, axis=0) if n else v
+def _regularizer_bands(grid: Grid) -> np.ndarray:
+    """:class:`ModeBanded` bands of ``R = sum_j0 Dt^j0' Dt^j0 (x) Dx^j1' Dx^j1``.
 
-
-def _dt_fwd_T(v: Field, n: int, nt: int) -> Field:
-    for _ in range(n):
-        rows = v.shape[0]
-        out = np.zeros((rows + 1, v.shape[1]))
-        out[0] = -v[0]
-        out[1:-1] = v[:-1] - v[1:]
-        out[-1] = v[-1]
-        v = out
-    assert v.shape[0] == nt
-    return v
-
-
-def _dx_fwd(v: Field, n: int) -> Field:
-    for _ in range(n):
-        v = np.roll(v, -1, axis=1) - v
-    return v
-
-
-def _dx_fwd_T(v: Field, n: int) -> Field:
-    for _ in range(n):
-        v = np.roll(v, 1, axis=1) - v
-    return v
+    Mode ``k`` sees ``sum_j0 lambda_k^(6-j0) T_j0``: ``lambda_k = 4 sin^2(pi k/nx)``
+    is the symbol of ``Dx' Dx`` and ``T_j0`` the normal matrix of ``Dt^j0``.
+    """
+    nt = grid.nt
+    lam = 4.0 * np.sin(np.pi * np.arange(grid.nx // 2 + 1) / grid.nx) ** 2
+    bands = np.zeros((7, nt, lam.size))
+    for j0 in range(7):
+        diff = np.diff(np.eye(nt), n=j0, axis=0)
+        normal = diff.T @ diff
+        for d in range(j0 + 1):
+            bands[d, : nt - d] += np.diagonal(normal, -d)[:, None] * lam ** (6 - j0)
+    return bands
 
 
 def regularizer_apply(grid: Grid, phi: Field) -> Field:
     """Normal operator of the seven mixed sixth-difference stencils."""
-    out = np.zeros_like(phi)
-    for j0 in range(7):
-        j1 = 6 - j0
-        v = _dx_fwd(_dt_fwd(phi, j0), j1)
-        out += _dt_fwd_T(_dx_fwd_T(v, j1), j0, grid.nt)
-    return out
+    return ModeBanded(grid, _regularizer_bands(grid)).apply(phi)
 
 
 def regularizer_quadratic(grid: Grid, phi: Field) -> float:
     """Value of the sixth-difference quadratic form (no measure factor)."""
-    total = 0.0
-    for j0 in range(7):
-        v = _dx_fwd(_dt_fwd(phi, j0), 6 - j0)
-        total += float(np.sum(v * v))
-    return total
+    return float(np.sum(phi * regularizer_apply(grid, phi)))
+
+
+def _inner_operator(spec: CongestionSpec, eps: float) -> ModeBanded:
+    """``eps (W + dt dx R)``: the row-constant weights keep the mode structure."""
+    g = spec.grid
+    bands = eps * g.dt * g.dx * _regularizer_bands(g)
+    bands[0] += eps * g.dx * time_weights(g)[:, None]
+    return ModeBanded(g, bands)
 
 
 # ---------------------------------------------------------------------------
@@ -331,36 +321,21 @@ def inner_phi_solve(
 ) -> Field:
     """Minimize the frozen-operator quadratic over the constraint set.
 
-    Conjugate gradient on the pinned/mean-free subspace, then a density
-    repair if the floor ``phi_x + 1 >= eps`` is violated.  The returned
-    field never has a larger objective than the time-linear interpolant of
-    the boundary slices (which is the fallback candidate).
+    Exact solve on the pinned/mean-free subspace (``eps (W + dt dx R)``
+    factored once per call), then a density repair if the floor
+    ``phi_x + 1 >= eps`` is violated.  The returned field never has a
+    larger objective than the time-linear interpolant of the boundary
+    slices (which is the fallback candidate).  ``x0``, a warm start, is
+    accepted but unused: the direct solve does not depend on it.
     """
     g = spec.grid
     f1 = apply_F(spec, pp0, eps=eps).f1
-    w = st_weights(g)
-    scale = g.dt * g.dx
-
     pview = spec.planning_view(floor=eps)
     lift = _lift(spec)
     interp = initial_guess(pview).phi
 
-    def sym(phi: Field) -> Field:
-        return eps * (w * phi + scale * regularizer_apply(g, phi))
-
-    def matvec(v):
-        phi = project_tangent(g, v.reshape(g.nt, g.nx))
-        return project_tangent(g, sym(phi)).ravel()
-
-    rhs = -project_tangent(g, w * f1 + sym(lift)).ravel()
-    op = LinearOperator((g.nt * g.nx,) * 2, matvec=matvec, dtype=float)
-    start = None
-    if x0 is not None:
-        start = project_tangent(g, x0 - lift).ravel()
-    u, info = cg(op, rhs, x0=start, rtol=spec.inner_tol, atol=1e-15, maxiter=20 * g.nt * g.nx)
-    if info != 0:
-        raise RuntimeError(f"inner conjugate gradient hit the iteration cap (info={info})")
-    phi = lift + project_tangent(g, u.reshape(g.nt, g.nx))
+    op = _inner_operator(spec, eps)
+    phi = lift + op.solve(-(st_weights(g) * f1 + op.apply(lift)))
 
     if np.min(dx_periodic(g, phi) + 1.0) < eps:
         phi = clip_to_floor(pview, phi)
@@ -409,11 +384,12 @@ def _tridiag_apply(ab: np.ndarray, q: TimeSeries) -> TimeSeries:
     return out
 
 
-def _apply_S(spec: CongestionSpec, eps: float, pp: PotentialPair) -> PotentialPair:
-    return PotentialPair(
-        inner_phi_solve(spec, eps, pp, x0=pp.phi),
-        inner_q_solve(spec, eps, pp),
-    )
+def _apply_S(
+    spec: CongestionSpec, eps: float, pp: PotentialPair
+) -> tuple[PotentialPair, float]:
+    """One inner-solver sweep ``S(pp)`` and its sup-norm distance from ``pp``."""
+    s = PotentialPair(inner_phi_solve(spec, eps, pp), inner_q_solve(spec, eps, pp))
+    return s, max(float(np.max(np.abs(s.phi - pp.phi))), float(np.max(np.abs(s.q - pp.q))))
 
 
 def _lift(spec: CongestionSpec) -> Field:
@@ -493,7 +469,7 @@ def apriori_diagnostics(spec: CongestionSpec, eps: float, pp: PotentialPair) -> 
 
 def _newton_polish(
     spec: CongestionSpec, eps: float, pp: PotentialPair
-) -> tuple[PotentialPair, bool, int]:
+) -> tuple[PotentialPair, str, int]:
     """Newton-Krylov on the stationarity system of the regularized problem.
 
     The fixed points of the inner-solver sweep are exactly the zeros of
@@ -505,16 +481,19 @@ def _newton_polish(
     (P the tangent projection, lift the pinned rows), provided the density
     floor is inactive at the solution.  Solving this directly makes each
     Krylov evaluation one operator application instead of one full inner
-    CG solve.  Trial points may dip below the floor, so the power fields
+    sweep.  Trial points may dip below the floor, so the power fields
     are evaluated with their bases floored at eps and every floored node
-    is counted; the count is returned for reporting.  The caller always
-    re-verifies the result with a genuine inner-solver sweep.
+    is counted; the count is returned for reporting, with a status:
+    ``"converged"``, scipy's message, or the error a bad trial point raised
+    (``pp`` is then returned).  The caller always re-verifies the result
+    with a genuine inner-solver sweep.
     """
     g = spec.grid
     n_phi = g.nt * g.nx
     lift = _lift(spec)
     w = st_weights(g)
     scale = g.dt * g.dx
+    op = _inner_operator(spec, eps)
     ab, wt = _q_system(spec, eps)
     floored = [0]
 
@@ -528,9 +507,7 @@ def _newton_polish(
         low = y < eps
         floored[0] += int(np.count_nonzero(low))
         img = _images(spec, np.where(low, eps, y), z)
-        r_phi = project_tangent(
-            g, eps * (w * p.phi + scale * regularizer_apply(g, p.phi)) + w * img.f1
-        ) / scale
+        r_phi = project_tangent(g, op.apply(p.phi) + w * img.f1) / scale
         r_q = (_tridiag_apply(ab, p.q) + wt * img.f2) / g.dt
         return np.concatenate([r_phi.ravel(), r_q])
 
@@ -547,12 +524,12 @@ def _newton_polish(
                 "jac_options": {"inner_maxiter": 40},
             },
         )
-    except Exception:
-        return pp, False, floored[0]
+    except (ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        return pp, f"{type(exc).__name__}: {exc}", floored[0]
     cand = unpack(sol.x)
     if np.min(dx_periodic(g, cand.phi) + 1.0) < eps:
         cand = PotentialPair(clip_to_floor(spec.planning_view(floor=eps), cand.phi), cand.q)
-    return cand, bool(sol.success), floored[0]
+    return cand, "converged" if sol.success else str(sol.message), floored[0]
 
 
 def recover_congestion(spec: CongestionSpec, pp: PotentialPair) -> MFGSolution:
@@ -638,22 +615,11 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
         # level; it both seeds the fallback and survives a failed fallback,
         # so a diverging method can never poison the continuation state
         best_pp, best_resid = pp, np.inf
-        used_newton = False
+        newton_status = None
         residuals: list[float] = []
 
-        def measure(p: PotentialPair) -> float:
-            s = _apply_S(spec, eps, p)
-            return max(
-                float(np.max(np.abs(s.phi - p.phi))),
-                float(np.max(np.abs(s.q - p.q))),
-            )
-
         for _ in range(spec.max_outer):
-            s = _apply_S(spec, eps, pp)
-            resid = max(
-                float(np.max(np.abs(s.phi - pp.phi))),
-                float(np.max(np.abs(s.q - pp.q))),
-            )
+            s, resid = _apply_S(spec, eps, pp)
             residuals.append(resid)
             trace.append(resid)
             total_iters += 1
@@ -672,10 +638,9 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
             )
 
         if best_resid > spec.tol_fp:
-            used_newton = True
-            cand, _, floored = _newton_polish(spec, eps, best_pp)
+            cand, newton_status, floored = _newton_polish(spec, eps, best_pp)
             floored_total += floored
-            resid = measure(cand)
+            resid = _apply_S(spec, eps, cand)[1]
             residuals.append(resid)
             trace.append(resid)
             total_iters += 1
@@ -690,16 +655,14 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
             iterations=len(residuals),
             fp_residual=best_resid,
             converged=level_ok,
-            used_newton=used_newton,
+            used_newton=newton_status is not None,
+            newton_status=newton_status,
         )
         per_eps.append(level_diag)
         all_ok = all_ok and level_ok
 
     final_eps = spec.eps_schedule[-1]
-    s = _apply_S(spec, final_eps, pp)
-    fp_residual = max(
-        float(np.max(np.abs(s.phi - pp.phi))), float(np.max(np.abs(s.q - pp.q)))
-    )
+    fp_residual = _apply_S(spec, final_eps, pp)[1]
     solution = recover_congestion(spec, pp)
     converged = all_ok and fp_residual <= spec.tol_fp
     diagnostics = {

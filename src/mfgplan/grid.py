@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solveh_banded
 
 __all__ = [
     "Grid",
@@ -38,6 +39,7 @@ __all__ = [
     "antiderivative_x",
     "time_weights",
     "st_weights",
+    "ModeBanded",
 ]
 
 # A Field is a real array of shape (nt, nx): row = time node, column = space
@@ -240,3 +242,36 @@ def antiderivative_x(grid: Grid, f: np.ndarray) -> np.ndarray:
     out[..., 0] = 0.0
     np.cumsum(0.5 * grid.dx * (f[..., 1:] + f[..., :-1]), axis=-1, out=out[..., 1:])
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class ModeBanded:
+    """Symmetric operator, periodic in x and banded in t, split over Fourier modes.
+
+    ``bands[d, i, k] = A_k[i + d, i]`` (scipy's lower banded storage, shape
+    ``(bandwidth + 1, nt, nx // 2 + 1)``) is the t-matrix acting on mode ``k``
+    of the real FFT along x.  :meth:`solve` inverts on the tangent space of
+    :func:`mfgplan.planning.project_tangent`, which drops mode 0 and the end
+    rows and leaves the interior of each ``A_k`` (one banded Cholesky each).
+    """
+
+    grid: Grid
+    bands: np.ndarray
+
+    def apply(self, f: Field) -> Field:
+        """Operator image of ``f``: banded product per mode, all modes at once."""
+        coef = np.fft.rfft(_as_field(self.grid, f), axis=1)
+        out = self.bands[0] * coef
+        for d in range(1, self.bands.shape[0]):
+            b = self.bands[d, :-d]
+            out[d:] += b * coef[:-d]
+            out[:-d] += b * coef[d:]
+        return np.fft.irfft(out, n=self.grid.nx, axis=1)
+
+    def solve(self, rhs: Field) -> Field:
+        """Solution ``u = P u`` of ``P A u = P rhs``; ``P`` is the tangent projection."""
+        coef = np.fft.rfft(_as_field(self.grid, rhs), axis=1)
+        out = np.zeros_like(coef)
+        for k in range(1, coef.shape[1]):
+            out[1:-1, k] = solveh_banded(self.bands[:, 1:-1, k], coef[1:-1, k], lower=True)
+        return np.fft.irfft(out, n=self.grid.nx, axis=1)

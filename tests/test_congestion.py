@@ -5,20 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfgplan.congestion as congestion
 from mfgplan.congestion import (
     CongestionSpec,
+    _lift,
+    _newton_polish,
     apply_F,
     inner_phi_objective,
     inner_phi_solve,
     inner_q_solve,
     monotonicity_gap,
     pointwise_certificate,
+    regularizer_apply,
     solve_congestion,
     weak_certificate,
     young_sup,
 )
-from mfgplan.grid import Grid, dx_periodic, time_weights
-from mfgplan.planning import PotentialPair, initial_guess, random_feasible_pair
+from mfgplan.grid import Grid, dx_periodic, st_weights, time_weights
+from mfgplan.planning import (
+    PotentialPair,
+    initial_guess,
+    project_tangent,
+    random_feasible_pair,
+)
 
 
 def sine_density(nx: int, amplitude: float = 0.1) -> np.ndarray:
@@ -250,6 +259,74 @@ def test_inner_phi_warm_start_independence():
     assert np.max(np.abs(a - b)) <= 1e-8
 
 
+def roll_regularizer(phi):
+    """Reference sixth-difference normal operator by undivided shifts.
+
+    ``sum_j0 (Dt^j0)^T (Dx^j1)^T Dx^j1 Dt^j0`` with ``j1 = 6 - j0``, forward
+    differences as rolls in x and unpadded diffs in t; independent of the
+    Fourier/banded form under test.
+    """
+    def dt_T(v, n):
+        for _ in range(n):
+            v = np.concatenate([-v[:1], v[:-1] - v[1:], v[-1:]])
+        return v
+
+    def dx(v, n, shift):
+        for _ in range(n):
+            v = np.roll(v, shift, axis=1) - v
+        return v
+
+    out = np.zeros_like(phi)
+    for j0 in range(7):
+        v = dx(np.diff(phi, n=j0, axis=0), 6 - j0, -1)
+        out += dt_T(dx(v, 6 - j0, 1), j0)
+    return out
+
+
+@pytest.mark.parametrize("nt,nx", [(7, 8), (9, 15), (13, 24), (25, 48)])
+def test_regularizer_apply_matches_roll_stencils(nt, nx):
+    g = Grid(nt=nt, nx=nx, horizon=1.0)
+    phi = np.random.default_rng(nt * nx).standard_normal((nt, nx))
+    ref = roll_regularizer(phi)
+    assert np.max(np.abs(regularizer_apply(g, phi) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nt,nx", [(9, 15), (13, 24)])
+def test_regularizer_apply_is_symmetric(nt, nx):
+    g = Grid(nt=nt, nx=nx, horizon=1.0)
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((2, nt, nx))
+    ab = np.sum(a * regularizer_apply(g, b))
+    ba = np.sum(b * regularizer_apply(g, a))
+    assert abs(ab - ba) <= 1e-13 * np.sum(np.abs(a * regularizer_apply(g, b)))
+
+
+@pytest.mark.parametrize("nt,nx", [(13, 24), (9, 15)])  # with and without a Nyquist mode
+def test_inner_phi_solves_projected_system(nt, nx):
+    # a faint marginal keeps the frozen-operator step (~1/eps) off the density
+    # floor, so no repair replaces the linear solve; the rough base point puts
+    # every Fourier mode, Nyquist included, in F1
+    g = Grid(nt=nt, nx=nx, horizon=1.0)
+    spec = CongestionSpec(grid=g, m0=sine_density(nx, amplitude=1e-3))
+    eps = 0.1
+    rng = np.random.default_rng(nx)
+    phi0 = initial_guess(spec.planning_view(floor=eps)).phi
+    phi0 += 1e-5 * project_tangent(g, rng.standard_normal((nt, nx)))
+    pp0 = PotentialPair(phi0, 1e-5 * rng.standard_normal(nt))
+    f1 = apply_F(spec, pp0, eps=eps).f1
+    w = st_weights(g)
+
+    def op(v):
+        return eps * (w * v + g.dt * g.dx * roll_regularizer(v))
+
+    lift = _lift(spec)
+    u = inner_phi_solve(spec, eps, pp0) - lift
+    assert np.max(np.abs(u - project_tangent(g, u))) <= 1e-14
+    rhs = -project_tangent(g, w * f1 + op(lift))
+    resid = project_tangent(g, op(project_tangent(g, u))) - rhs
+    assert np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(rhs))
+
+
 def test_inner_phi_rejects_infeasible_base_point():
     spec = sine_spec()
     g = spec.grid
@@ -290,6 +367,43 @@ def test_sine_instance_converges_through_schedule(sine_report):
         assert level["converged"]
         assert level["fp_residual"] <= spec.tol_fp
     assert report.diagnostics["floored_nodes"] == 0
+
+
+def test_newton_status_recorded_per_level(sine_report):
+    _, report = sine_report
+    for level in report.diagnostics["per_eps"]:
+        if level["used_newton"]:
+            assert isinstance(level["newton_status"], str) and level["newton_status"]
+        else:
+            assert level["newton_status"] is None
+
+
+@pytest.mark.parametrize("exc", [ValueError("nan in trial"), np.linalg.LinAlgError("singular")])
+def test_newton_polish_reports_bad_trial_errors(monkeypatch, exc):
+    spec = sine_spec()
+    eps = 0.01
+    pp = PotentialPair(initial_guess(spec.planning_view(floor=eps)).phi, np.zeros(spec.grid.nt))
+
+    def failing_root(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(congestion, "root", failing_root)
+    cand, status, floored = _newton_polish(spec, eps, pp)
+    assert cand is pp and floored == 0
+    assert status == f"{type(exc).__name__}: {exc}"
+
+
+def test_newton_polish_propagates_unexpected_errors(monkeypatch):
+    spec = sine_spec()
+    eps = 0.01
+    pp = PotentialPair(initial_guess(spec.planning_view(floor=eps)).phi, np.zeros(spec.grid.nt))
+
+    def broken_root(*args, **kwargs):
+        raise KeyError("programming error")
+
+    monkeypatch.setattr(congestion, "root", broken_root)
+    with pytest.raises(KeyError):
+        _newton_polish(spec, eps, pp)
 
 
 def test_sine_instance_apriori_bounds_hold(sine_report):
