@@ -32,11 +32,6 @@ __all__ = [
     "SpatialPotential",
     "PerspectiveL0",
     "MFGModel",
-    "legendre",
-    "perspective",
-    "perspective_partials",
-    "L1",
-    "L2",
     "lagrangian_from_hamiltonian",
     "quadratic_hamiltonian",
     "power_hamiltonian",
@@ -90,7 +85,6 @@ class Coupling:
 
     G: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
-    convex: bool = True
     growth_c: float = 1.0
     growth_gamma: float = 2.0
 
@@ -148,25 +142,6 @@ def _invert_slope(ham: Hamiltonian, w: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def legendre(ham: Hamiltonian, w: float) -> tuple[float, float]:
-    """Legendre transform ``sup_p (p w - H(p))`` of a convex Hamiltonian.
-
-    Returns
-    -------
-    (value, argmax)
-        The supremum and the maximizing slope ``p* = (H')^{-1}(w)``, which
-        equals ``L'(w)``.
-
-    Raises
-    ------
-    RuntimeError
-        If the bracketing search cannot enclose the maximizer (slope outside
-        the range of H'); the offending ``w`` is reported.
-    """
-    p = float(_invert_slope(ham, np.asarray(float(w))))
-    return float(p * w - ham.eval(np.asarray(p))), p
-
-
 def lagrangian_from_hamiltonian(ham: Hamiltonian) -> Lagrangian:
     """Conjugate Lagrangian, analytic for the quadratic model, numeric otherwise."""
     if ham.name == "quadratic":
@@ -209,25 +184,6 @@ class PerspectiveL0:
         w = z / y
         lp = self.lagrangian.derivative(w)
         return lp, self.lagrangian.eval(w) - w * lp
-
-
-def perspective(p0: PerspectiveL0, z, y):
-    """Extended-real value ``L0(z, y)``; see :class:`PerspectiveL0`."""
-    return p0.value(z, y)
-
-
-def perspective_partials(p0: PerspectiveL0, z, y):
-    return p0.partials(z, y)
-
-
-def L1(p0: PerspectiveL0, q, z, y):
-    """Shifted integrand ``L0(z + q, y)``."""
-    return p0.value(np.asarray(z, dtype=float) + q, y)
-
-
-def L2(p0: PerspectiveL0, q, z, y, theta):
-    """Doubly shifted integrand ``L0(z + q - theta, y)``."""
-    return p0.value(np.asarray(z, dtype=float) + q - theta, y)
 
 
 # --- built-in model library -------------------------------------------------
@@ -327,9 +283,10 @@ def build_model(
 def validate_model(model: MFGModel, rng: np.random.Generator, samples: int = 200) -> dict:
     """Sample the structural assumptions the solvers rely on.
 
-    Returns a dict mapping check name to ``(ok, detail)``.  Weak couplings
-    (non-convex flag, slack violations) are reported, not rejected: callers
-    decide what to do with a failing entry.
+    Returns a dict mapping check name to ``(ok, detail)``.  Failed checks
+    (a coupling slope inconsistent with ``G``, convexity slack violations)
+    are reported, not rejected: callers decide what to do with a failing
+    entry.
     """
     checks: dict[str, tuple[bool, str]] = {}
 

@@ -18,10 +18,11 @@ stationarity in q, so the optimizer's termination test doubles as the
 stationarity certificate.  The minimizer is projected gradient descent with
 monotone Armijo backtracking, run in a fixed elliptic metric: descent
 directions come from inverting the constant-coefficient part of the Hessian
-at the uniform state (a per-x-mode Cholesky solve in time), which keeps the
-iteration count essentially grid-independent where a raw gradient loop stalls
-on the stiff fine grids.  Every accepted iterate is feasible (pinned rows
-exact, slice means zero, density at or above the configured floor).
+at the uniform state (a banded Cholesky solve in time per x-mode), which
+keeps the iteration count essentially grid-independent where a raw gradient
+loop stalls on the stiff fine grids.  Every accepted iterate is feasible
+(pinned rows exact, slice means zero, density at or above the configured
+floor).
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .grid import (
     Field,
     Grid,
+    ModeBanded,
     TimeSeries,
     antiderivative_x,
     dt_interior,
@@ -127,13 +128,6 @@ class PlanningSpec:
     def k0(self) -> float:
         """Uniform lower bound of the boundary densities."""
         return float(min(np.min(self.m0), np.min(self.mT)))
-
-    @property
-    def sigma(self) -> float:
-        """Exponent metadata beta*gamma/(beta+gamma-1); never used numerically."""
-        beta = self.model.hamiltonian.beta
-        gamma = self.model.coupling.growth_gamma
-        return beta * gamma / (beta + gamma - 1.0)
 
 
 @dataclass(frozen=True)
@@ -350,18 +344,20 @@ def _build_preconditioner(spec: PlanningSpec):
     """Inverse of the constant-coefficient Hessian block at the uniform state.
 
     At the uniform density the phi-Hessian diagonalizes over spatial Fourier
-    modes into small time-block matrices
+    modes into banded time matrices
 
-        A_k = L''(0) * S_k^T W_t S_k + g'(1) * s_k^2 * W_t ,
+        A_k = dx * (L''(0) * S_k^T W_t S_k + g'(1) * s_k^2 * W_t) ,
 
-    where ``S_k`` is the time stencil (shifted by the Laplacean symbol when
-    ``order = 1``) and ``s_k`` the central-difference symbol.  Pinned rows are
-    removed before factorization; the zero mode is annihilated (it lies
-    outside the feasible tangent space).  Returns a callable mapping a plain
-    l2 phi-gradient to a descent direction.
+    where ``S_k = M + lap_k I`` is the time stencil ``M`` shifted by the
+    Laplacean symbol ``lap_k`` (zero when ``order = 0``) and ``s_k`` the
+    central-difference symbol.  ``S_k^T W_t S_k`` expands into three
+    k-independent matrices of bandwidth at most 2, weighted by 1, ``lap_k``
+    and ``lap_k^2``, so the ``A_k`` are stored as :class:`ModeBanded` bands
+    and solved per mode by banded Cholesky; the solve drops the pinned rows
+    and the zero mode (both outside the feasible tangent space).  Returns a
+    callable mapping a plain l2 phi-gradient to a descent direction.
     """
     g = spec.grid
-    nt, nx = g.nt, g.nx
     wt = time_weights(g)
     mt = time_stencil_matrix(g)
     h = 1e-4
@@ -371,26 +367,18 @@ def _build_preconditioner(spec: PlanningSpec):
     cpl = spec.model.coupling
     gp1 = max(float((cpl.g(np.asarray(1.0 + h)) - cpl.g(np.asarray(1.0 - h))) / (2 * h)), 0.0)
 
-    ks = np.arange(nx // 2 + 1)
-    s2 = (np.sin(2.0 * np.pi * ks / nx) / g.dx) ** 2
-    lap = 4.0 * np.sin(np.pi * ks / nx) ** 2 / g.dx**2
+    ks = np.arange(g.nx // 2 + 1)
+    s2 = (np.sin(2.0 * np.pi * ks / g.nx) / g.dx) ** 2
+    lap = spec.order * 4.0 * np.sin(np.pi * ks / g.nx) ** 2 / g.dx**2
 
-    factors = [None]  # zero mode never solved
-    for k in ks[1:]:
-        sk = mt + (lap[k] * np.eye(nt) if spec.order == 1 else 0.0)
-        a = g.dx * (lpp * (sk.T * wt) @ sk + gp1 * s2[k] * np.diag(wt))
-        factors.append(cho_factor(a[1:-1, 1:-1]))
-
-    def apply(rhs: Field) -> Field:
-        spectral = np.fft.rfft(rhs, axis=1)
-        out = np.zeros_like(spectral)
-        for k in ks[1:]:
-            b = spectral[1:-1, k]
-            x = cho_solve(factors[k], np.column_stack((b.real, b.imag)))
-            out[1:-1, k] = x[:, 0] + 1j * x[:, 1]
-        return np.fft.irfft(out, n=nx, axis=1)
-
-    return apply
+    mw = mt.T * wt  # M^T W_t
+    terms = (mw @ mt, mw + mw.T, np.diag(wt))  # weights 1, lap_k, lap_k^2
+    bands = np.zeros((3, g.nt, ks.size))
+    for d in range(3):
+        for power, term in enumerate(terms):
+            bands[d, : g.nt - d] += lpp * np.diagonal(term, -d)[:, None] * lap**power
+    bands[0] += gp1 * wt[:, None] * s2
+    return ModeBanded(g, g.dx * bands).solve
 
 
 def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveReport:

@@ -7,14 +7,9 @@ from hypothesis import strategies as st
 
 from mfgplan.model import (
     Hamiltonian,
-    L1,
-    L2,
     PerspectiveL0,
     build_model,
     lagrangian_from_hamiltonian,
-    legendre,
-    perspective,
-    perspective_partials,
     power_coupling,
     power_hamiltonian,
     quadratic_coupling,
@@ -25,27 +20,29 @@ from mfgplan.model import (
 
 
 def test_legendre_quadratic_values():
-    ham = quadratic_hamiltonian()
-    value, argmax = legendre(ham, 0.0)
-    assert value == pytest.approx(0.0, abs=1e-12)
-    assert argmax == pytest.approx(0.0, abs=1e-12)
+    # a custom-named copy takes the bracketed bisection, not the analytic shortcut
+    quad = quadratic_hamiltonian()
+    lag = lagrangian_from_hamiltonian(Hamiltonian(eval=quad.eval, derivative=quad.derivative))
+    assert lag.eval(np.asarray(0.0)) == pytest.approx(0.0, abs=1e-12)
+    assert lag.derivative(np.asarray(0.0)) == pytest.approx(0.0, abs=1e-12)
 
-    value, argmax = legendre(ham, 3.0)
-    assert value == pytest.approx(4.5, abs=1e-10)
-    assert argmax == pytest.approx(3.0, abs=1e-10)
+    assert lag.eval(np.asarray(3.0)) == pytest.approx(4.5, abs=1e-10)
+    assert lag.derivative(np.asarray(3.0)) == pytest.approx(3.0, abs=1e-10)
 
 
 def test_legendre_power_alpha2_against_grid_sup():
     # For alpha = 2 the transform has the closed form w^2/4 - 1; also compare
     # against a brute-force sup over a dense slope lattice.
     ham = power_hamiltonian(2.0)
+    lag = lagrangian_from_hamiltonian(ham)
     p = np.linspace(-50.0, 50.0, 1_000_001)
     for w in (-2.0, 0.5, 3.0):
-        value, argmax = legendre(ham, w)
+        value = float(lag.eval(np.asarray(w)))
+        argmax = lag.derivative(np.asarray(w))
         brute = np.max(p * w - ham.eval(p))
         assert value == pytest.approx(brute, abs=1e-7)
         assert value == pytest.approx(w * w / 4.0 - 1.0, abs=1e-10)
-        assert ham.derivative(np.asarray(argmax)) == pytest.approx(w, abs=1e-8)
+        assert ham.derivative(argmax) == pytest.approx(w, abs=1e-8)
 
 
 def test_legendre_out_of_range_slope_reports_w():
@@ -57,16 +54,17 @@ def test_legendre_out_of_range_slope_reports_w():
         beta=1.0,
     )
     with pytest.raises(RuntimeError, match="w=2"):
-        legendre(ham, 2.0)
+        lagrangian_from_hamiltonian(ham).eval(np.asarray(2.0))
 
 
 def test_legendre_involution_power():
     ham = power_hamiltonian(1.5)
     lag = lagrangian_from_hamiltonian(ham)
     conj = Hamiltonian(eval=lag.eval, derivative=lag.derivative, beta=3.0)
+    back = lagrangian_from_hamiltonian(conj)
     for p in (-2.0, -0.5, 0.0, 1.0, 2.5):
-        back, _ = legendre(conj, p)
-        assert back == pytest.approx(float(ham.eval(np.asarray(p))), abs=1e-8)
+        value = float(back.eval(np.asarray(p)))
+        assert value == pytest.approx(float(ham.eval(np.asarray(p))), abs=1e-8)
 
 
 def test_lagrangian_inverts_slope():
@@ -78,31 +76,31 @@ def test_lagrangian_inverts_slope():
 
 def test_perspective_case_split():
     p0 = PerspectiveL0(lagrangian_from_hamiltonian(quadratic_hamiltonian()))
-    assert perspective(p0, 0.0, 0.0) == 0.0
-    assert perspective(p0, 1.0, 0.0) == np.inf
-    assert perspective(p0, 2.0, 4.0) == pytest.approx(0.5, abs=1e-12)
+    assert p0.value(0.0, 0.0) == 0.0
+    assert p0.value(1.0, 0.0) == np.inf
+    assert p0.value(2.0, 4.0) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
-        perspective(p0, 1.0, -0.5)
+        p0.value(1.0, -0.5)
 
     # vectorized case split
     z = np.array([0.0, 1.0, 2.0])
     y = np.array([0.0, 0.0, 4.0])
-    out = perspective(p0, z, y)
+    out = p0.value(z, y)
     assert out[0] == 0.0 and out[1] == np.inf and out[2] == pytest.approx(0.5)
 
 
 def test_perspective_partials_quadratic():
     p0 = PerspectiveL0(lagrangian_from_hamiltonian(quadratic_hamiltonian()))
-    dz, dy = perspective_partials(p0, 2.0, 1.0)
+    dz, dy = p0.partials(2.0, 1.0)
     assert dz == pytest.approx(2.0, abs=1e-12)
     assert dy == pytest.approx(-2.0, abs=1e-12)
 
-    dz, dy = perspective_partials(p0, 0.0, 3.0)
+    dz, dy = p0.partials(0.0, 3.0)
     assert dz == pytest.approx(0.0, abs=1e-12)
     assert dy == pytest.approx(0.0, abs=1e-12)  # L(0) for the quadratic model
 
     with pytest.raises(ValueError):
-        perspective_partials(p0, 1.0, 0.0)
+        p0.partials(1.0, 0.0)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -113,22 +111,11 @@ def test_perspective_partials_match_differences(seed):
     z = rng.uniform(-3.0, 3.0)
     y = rng.uniform(0.2, 5.0)
     h = 1e-6
-    dz, dy = perspective_partials(p0, z, y)
-    fd_z = (perspective(p0, z + h, y) - perspective(p0, z - h, y)) / (2 * h)
-    fd_y = (perspective(p0, z, y + h) - perspective(p0, z, y - h)) / (2 * h)
+    dz, dy = p0.partials(z, y)
+    fd_z = (p0.value(z + h, y) - p0.value(z - h, y)) / (2 * h)
+    fd_y = (p0.value(z, y + h) - p0.value(z, y - h)) / (2 * h)
     assert dz == pytest.approx(fd_z, rel=1e-6, abs=1e-6)
     assert dy == pytest.approx(fd_y, rel=1e-6, abs=1e-6)
-
-
-def test_shifted_integrands():
-    p0 = PerspectiveL0(lagrangian_from_hamiltonian(quadratic_hamiltonian()))
-    assert L1(p0, 0.0, 0.0, 0.0) == 0.0
-    for y in (0.5, 1.0, 7.0):
-        assert L2(p0, 1.0, -1.0, y, 0.0) == pytest.approx(0.0, abs=1e-14)
-
-    rng = np.random.default_rng(7)
-    q, z, y = rng.normal(size=20), rng.normal(size=20), rng.uniform(0.1, 3.0, 20)
-    assert np.allclose(L2(p0, q, z, y, 0.0), L1(p0, q, z, y), atol=1e-14)
 
 
 def test_perspective_joint_convexity_sampled():
@@ -138,8 +125,8 @@ def test_perspective_joint_convexity_sampled():
     za, zb = rng.uniform(-5.0, 5.0, n), rng.uniform(-5.0, 5.0, n)
     ya, yb = rng.uniform(0.0, 10.0, n), rng.uniform(0.0, 10.0, n)
     t = rng.uniform(0.01, 0.99, n)
-    mixed = perspective(p0, t * za + (1 - t) * zb, t * ya + (1 - t) * yb)
-    chord = t * perspective(p0, za, ya) + (1 - t) * perspective(p0, zb, yb)
+    mixed = p0.value(t * za + (1 - t) * zb, t * ya + (1 - t) * yb)
+    chord = t * p0.value(za, ya) + (1 - t) * p0.value(zb, yb)
     finite = np.isfinite(chord)
     assert np.min((chord - mixed)[finite]) >= -1e-10
 
@@ -147,7 +134,7 @@ def test_perspective_joint_convexity_sampled():
 def test_perspective_blows_up_toward_vanishing_y():
     p0 = PerspectiveL0(lagrangian_from_hamiltonian(quadratic_hamiltonian()))
     ys = 10.0 ** -np.arange(1, 13)
-    vals = np.array([perspective(p0, 1.0, y) for y in ys])
+    vals = np.array([p0.value(1.0, y) for y in ys])
     assert np.all(np.diff(vals) > 0)
     assert vals[-1] > 1e10
 

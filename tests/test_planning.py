@@ -4,12 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
-from mfgplan.grid import Grid, dt_interior, dx_periodic, dxx_periodic, integrate_x
-from mfgplan.model import build_model, cosine_potential
+from mfgplan.grid import (
+    Grid,
+    dt_interior,
+    dx_periodic,
+    dxx_periodic,
+    integrate_x,
+    time_stencil_matrix,
+    time_weights,
+)
+from mfgplan.model import build_model, cosine_potential, power_coupling, power_hamiltonian
 from mfgplan.planning import (
     PlanningSpec,
     PotentialPair,
+    _build_preconditioner,
     boundary_slices,
     clip_to_floor,
     gradient,
@@ -44,7 +54,6 @@ def test_spec_validation():
         PlanningSpec(grid=g, floor=2.0)  # floor above density minimum
     spec = PlanningSpec(grid=g)
     assert spec.k0 == pytest.approx(1.0)
-    assert spec.sigma == pytest.approx(4.0 / 3.0)  # beta = gamma = 2
 
 
 def test_boundary_slices_uniform_and_sine():
@@ -232,3 +241,48 @@ def test_minimize_with_potential_moves_mass():
     # a nonzero potential makes the flat pair non-stationary
     assert report.iterations > 0
     assert report.objective_trace[-1] < 0.5
+
+
+def _dense_preconditioner(
+    spec: PlanningSpec, rhs: np.ndarray
+) -> tuple[np.ndarray, float, float]:
+    """Reference direction from a dense Cholesky of each mode's interior block A_k.
+
+    Also returns the curvatures ``L''(0)`` and ``g'(1)`` the blocks were built with.
+    """
+    g = spec.grid
+    nt, nx = g.nt, g.nx
+    wt = time_weights(g)
+    mt = time_stencil_matrix(g)
+    h = 1e-4
+    lag = spec.model.lagrangian
+    lpp = max(float((lag.eval(np.asarray(h)) - 2 * lag.eval(np.asarray(0.0))
+                     + lag.eval(np.asarray(-h))) / h**2), 1e-8)
+    cpl = spec.model.coupling
+    gp1 = max(float((cpl.g(np.asarray(1.0 + h)) - cpl.g(np.asarray(1.0 - h))) / (2 * h)), 0.0)
+    spectral = np.fft.rfft(rhs, axis=1)
+    out = np.zeros_like(spectral)
+    for k in range(1, nx // 2 + 1):
+        s2 = (np.sin(2.0 * np.pi * k / nx) / g.dx) ** 2
+        lap = 4.0 * np.sin(np.pi * k / nx) ** 2 / g.dx**2
+        sk = mt + (lap * np.eye(nt) if spec.order == 1 else 0.0)
+        a = g.dx * (lpp * (sk.T * wt) @ sk + gp1 * s2 * np.diag(wt))
+        b = spectral[1:-1, k]
+        x = cho_solve(cho_factor(a[1:-1, 1:-1]), np.column_stack((b.real, b.imag)))
+        out[1:-1, k] = x[:, 0] + 1j * x[:, 1]
+    return np.fft.irfft(out, n=nx, axis=1), lpp, gp1
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("nx", [16, 15])
+@pytest.mark.parametrize("power", [False, True])
+def test_preconditioner_matches_dense_per_mode_cholesky(order, nx, power):
+    model = build_model(power_hamiltonian(1.5), power_coupling(2.5)) if power else build_model()
+    spec = PlanningSpec(grid=Grid(nt=11, nx=nx, horizon=1.5), model=model, order=order)
+    rhs = np.random.default_rng(nx + 10 * order).standard_normal((11, nx))
+    ref, lpp, gp1 = _dense_preconditioner(spec, rhs)
+    if power:  # L''(0) = 1/H''(0) = 2/3 and g'(1) = 3/2 reach both coefficients
+        assert lpp == pytest.approx(2.0 / 3.0, rel=1e-6)
+        assert gp1 == pytest.approx(1.5, rel=1e-6)
+    out = _build_preconditioner(spec)(rhs)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))

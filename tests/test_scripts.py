@@ -1,0 +1,42 @@
+"""Smoke runs of the experiment scripts at tiny sizes: each must exit 0."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("refinement_study.py", ("--levels", "2")),
+        ("congestion_sweep.py", ("--alphas", "0.5", "--nt", "7", "--nx", "8")),
+    ],
+)
+def test_script_runs(name, args):
+    proc = run_script(name, *args)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_hughes_fronts_writes_profiles(tmp_path):
+    proc = run_script("hughes_fronts.py", "--nx", "41", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "rho_congestion.csv",
+        "rho_linear.csv",
+    ]
