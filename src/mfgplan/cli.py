@@ -271,7 +271,7 @@ def _planning_from(block: dict, grid: Grid, path: str) -> PlanningSpec:
 
 
 _CONGESTION_KEYS = {
-    "alpha", "mu", "m0", "mT", "tol_fp", "damping", "max_outer", "eps_schedule",
+    "alpha", "mu", "m0", "mT", "tol_fp", "eps_schedule",
 }
 
 
@@ -300,9 +300,6 @@ def _congestion_from(block: dict, grid: Grid, path: str) -> CongestionSpec:
             mT=mT,
             eps_schedule=schedule,
             tol_fp=_number(block.get("tol_fp", 1e-6), f"{path}.tol_fp", lo=0.0, lo_open=True),
-            damping=_number(block.get("damping", 0.5), f"{path}.damping",
-                            lo=0.0, hi=1.0, lo_open=True),
-            max_outer=_integer(block.get("max_outer", 40), f"{path}.max_outer", lo=1),
         )
     except ValueError as exc:
         raise ConfigError(f"range violation in {path}: {exc}") from exc

@@ -14,11 +14,11 @@ The solver regularizes: at level ``eps`` the pair must satisfy
 
 whose self-map ``S`` (solve both with the operator frozen at the input)
 has the regularized solutions as fixed points.  The driver continues in a
-decreasing ``eps`` schedule, warm-starting each level, running damped
-Picard with a Newton-Krylov fallback when Picard stops contracting - for
-any nontrivial instance the Picard map has local Lipschitz constant on the
-order of ``1/eps``, so the fallback is the workhorse and Picard mostly
-serves the trivial instance, which it solves exactly in one sweep.
+decreasing ``eps`` schedule, warm-starting each level.  A level whose start
+already passes one sweep of ``S`` is accepted (the trivial instance is
+exact in one sweep); otherwise Newton-Krylov solves the stationarity system
+from the start.  Iterating ``S`` itself does not pay: its local Lipschitz
+constant is on the order of ``1/eps`` on any nontrivial instance.
 
 The sixth-order form uses *undivided* difference stencils: one factor of
 ``Delta_t^j0 Delta_x^j1`` per multi-index with ``j0 + j1 = 6``, windows
@@ -109,9 +109,6 @@ class CongestionSpec:
     mT: np.ndarray | None = None
     eps_schedule: tuple[float, ...] | None = None
     tol_fp: float = 1e-6
-    damping: float = 0.5
-    max_outer: int = 40
-    stagnation_window: int = 6
 
     def __post_init__(self):
         g = self.grid
@@ -146,8 +143,6 @@ class CongestionSpec:
         if sched[0] > self.k0:
             raise ValueError(f"eps schedule starts above k0={self.k0:.3e}")
         object.__setattr__(self, "eps_schedule", sched)
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.tol_fp <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -384,12 +379,10 @@ def _tridiag_apply(ab: np.ndarray, q: TimeSeries) -> TimeSeries:
     return out
 
 
-def _apply_S(
-    spec: CongestionSpec, eps: float, pp: PotentialPair
-) -> tuple[PotentialPair, float]:
-    """One inner-solver sweep ``S(pp)`` and its sup-norm distance from ``pp``."""
-    s = PotentialPair(inner_phi_solve(spec, eps, pp), inner_q_solve(spec, eps, pp))
-    return s, max(float(np.max(np.abs(s.phi - pp.phi))), float(np.max(np.abs(s.q - pp.q))))
+def _sweep_residual(spec: CongestionSpec, eps: float, pp: PotentialPair) -> float:
+    """Sup-norm distance of ``pp`` from its inner-solver sweep ``S(pp)``."""
+    phi, q = inner_phi_solve(spec, eps, pp), inner_q_solve(spec, eps, pp)
+    return max(float(np.max(np.abs(phi - pp.phi))), float(np.max(np.abs(q - pp.q))))
 
 
 def _lift(spec: CongestionSpec) -> Field:
@@ -589,12 +582,14 @@ def weak_certificate(
 def solve_congestion(spec: CongestionSpec) -> SolveReport:
     """Continuation fixed-point driver; returns the report with the solution.
 
-    Per level: damped Picard until the fixed-point residual drops below
-    ``tol_fp``; if the increments stop contracting, a Newton-Krylov solve
-    of the same fixed-point equation takes over, and the result is always
-    re-verified by one genuine application of ``S``.  The report's trace
-    carries the fixed-point residuals of the accepted iterates; the
-    ``converged`` flag is the verified final residual test.
+    Per level: one sweep of ``S`` from the (floor-clipped) start; if its
+    residual is above ``tol_fp``, a Newton-Krylov solve of the same
+    fixed-point equation runs from the start and its result is verified by
+    one more sweep.  The level keeps whichever of the start and the
+    candidate has the lower verified residual, so a failed solve never
+    poisons the continuation.  The report's trace carries every verified
+    residual (at most two per level); ``converged`` means every level met
+    ``tol_fp``.
     """
     g = spec.grid
     t_start = time.perf_counter()
@@ -603,68 +598,33 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
 
     trace: list[float] = []
     per_eps: list[dict] = []
-    total_iters = 0
     floored_total = 0
-    all_ok = True
 
     for eps in spec.eps_schedule:
-        pview = spec.planning_view(floor=eps)
-        pp = PotentialPair(clip_to_floor(pview, pp.phi), pp.q)
-
-        # best iterate = lowest verified fixed-point residual seen at this
-        # level; it both seeds the fallback and survives a failed fallback,
-        # so a diverging method can never poison the continuation state
-        best_pp, best_resid = pp, np.inf
+        pp = PotentialPair(clip_to_floor(spec.planning_view(floor=eps), pp.phi), pp.q)
+        resid = _sweep_residual(spec, eps, pp)
+        residuals = [resid]
         newton_status = None
-        residuals: list[float] = []
-
-        for _ in range(spec.max_outer):
-            s, resid = _apply_S(spec, eps, pp)
-            residuals.append(resid)
-            trace.append(resid)
-            total_iters += 1
-            if resid < best_resid:
-                best_pp, best_resid = pp, resid
-            if resid <= spec.tol_fp:
-                break
-            if resid > 4.0 * best_resid:
-                break  # diverging; hand the best iterate to the fallback
-            win = spec.stagnation_window
-            if len(residuals) >= win and residuals[-1] >= 0.9 * residuals[-win]:
-                break  # Picard is not contracting here; switch methods
-            pp = PotentialPair(
-                (1.0 - spec.damping) * pp.phi + spec.damping * s.phi,
-                (1.0 - spec.damping) * pp.q + spec.damping * s.q,
-            )
-
-        if best_resid > spec.tol_fp:
-            cand, newton_status, floored = _newton_polish(spec, eps, best_pp)
+        if resid > spec.tol_fp:
+            cand, newton_status, floored = _newton_polish(spec, eps, pp)
             floored_total += floored
-            resid = _apply_S(spec, eps, cand)[1]
-            residuals.append(resid)
-            trace.append(resid)
-            total_iters += 1
-            if resid < best_resid:
-                best_pp, best_resid = cand, resid
-
-        pp = best_pp
-        level_ok = best_resid <= spec.tol_fp
+            residuals.append(_sweep_residual(spec, eps, cand))
+            if residuals[-1] < resid:
+                pp, resid = cand, residuals[-1]
+        trace.extend(residuals)
         level_diag = apriori_diagnostics(spec, eps, pp)
         level_diag.update(
             eps=eps,
             iterations=len(residuals),
-            fp_residual=best_resid,
-            converged=level_ok,
+            fp_residual=resid,
+            converged=resid <= spec.tol_fp,
             used_newton=newton_status is not None,
             newton_status=newton_status,
         )
         per_eps.append(level_diag)
-        all_ok = all_ok and level_ok
 
-    final_eps = spec.eps_schedule[-1]
-    fp_residual = _apply_S(spec, final_eps, pp)[1]
+    fp_residual = per_eps[-1]["fp_residual"]
     solution = recover_congestion(spec, pp)
-    converged = all_ok and fp_residual <= spec.tol_fp
     diagnostics = {
         "per_eps": per_eps,
         "fp_residual_sup": fp_residual,
@@ -677,8 +637,8 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
         pair=pp,
         objective_trace=np.asarray(trace),
         grad_norm=fp_residual,
-        iterations=total_iters,
-        converged=converged,
+        iterations=len(trace),
+        converged=all(level["converged"] for level in per_eps),
         wall_time=time.perf_counter() - t_start,
         diagnostics=diagnostics,
         solution=solution,

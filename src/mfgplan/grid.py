@@ -177,7 +177,16 @@ def time_stencil_matrix(grid: Grid) -> np.ndarray:
 def dt_transpose(grid: Grid, f: Field) -> Field:
     """Apply the plain (unweighted) transpose of :func:`dt_interior` along time."""
     f = _as_field(grid, f)
-    return time_stencil_matrix(grid).T @ f
+    out = np.zeros_like(f)
+    half = f[1:-1] / (2.0 * grid.dt)
+    out[2:] += half
+    out[:-2] -= half
+    end0, end1 = f[0] / grid.dt, f[-1] / grid.dt
+    out[0] -= end0
+    out[1] += end0
+    out[-2] -= end1
+    out[-1] += end1
+    return out
 
 
 def time_weights(grid: Grid) -> TimeSeries:

@@ -90,6 +90,16 @@ def test_unknown_key_reports_path(tmp_path):
     doc["planning"]["typo"] = 1
     with pytest.raises(ConfigError, match="planning.typo"):
         parse_config(write_config(tmp_path, doc))
+    # the removed damped-iteration options are unknown keys now
+    for key in ("max_outer", "damping"):
+        doc = {
+            "schema_version": 1,
+            "mode": "congestion",
+            "grid": {"nt": 13, "nx": 24},
+            "congestion": {"m0": "uniform", "mT": "uniform", key: 1},
+        }
+        with pytest.raises(ConfigError, match=rf"congestion\.{key}: unknown key"):
+            parse_config(write_config(tmp_path, doc))
 
 
 def test_exactly_one_mode_block(tmp_path):
@@ -241,8 +251,8 @@ def test_trivial_congestion_run(tmp_path):
 
 
 def test_starved_congestion_flags_nonconvergence(tmp_path):
-    # an unreachable tolerance plus a one-sweep cap: files are still
-    # written, the report is honest, and the exit code is 2
+    # an unreachable tolerance: files are still written, the report is
+    # honest, and the exit code is 2
     doc = {
         "schema_version": 1,
         "mode": "congestion",
@@ -251,7 +261,6 @@ def test_starved_congestion_flags_nonconvergence(tmp_path):
         "congestion": {
             "m0": {"type": "sine", "amplitude": 0.1, "mode": 1},
             "mT": "uniform",
-            "max_outer": 1,
             "tol_fp": 1e-15,
         },
     }

@@ -1,5 +1,7 @@
 """Congestion operator, inner solvers, fixed-point driver, certificates."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,8 +65,6 @@ def test_spec_validation():
         CongestionSpec(grid=g, eps_schedule=(2.0, 1.0))  # starts above k0
     with pytest.raises(ValueError):
         CongestionSpec(grid=g, m0=np.full(16, 1.5))  # not normalized
-    with pytest.raises(ValueError):
-        CongestionSpec(grid=g, damping=0.0)
 
 
 def test_exponent_metadata():
@@ -404,6 +404,25 @@ def test_newton_polish_propagates_unexpected_errors(monkeypatch):
     monkeypatch.setattr(congestion, "root", broken_root)
     with pytest.raises(KeyError):
         _newton_polish(spec, eps, pp)
+
+
+def test_failed_newton_candidate_is_rejected(monkeypatch):
+    # a far-off, unconverged Newton-Krylov result must never replace the
+    # level start: every level keeps the residual of its first sweep
+    def far_root(fun, x0, **kwargs):
+        x = x0 + 0.3 * np.cos(np.arange(x0.size))
+        return SimpleNamespace(x=x, success=False, message="patched: far off")
+
+    monkeypatch.setattr(congestion, "root", far_root)
+    report = solve_congestion(sine_spec())
+    assert not report.converged
+    levels = report.diagnostics["per_eps"]
+    assert report.iterations == 2 * len(levels)
+    for i, level in enumerate(levels):
+        assert level["newton_status"] == "patched: far off"
+        assert level["iterations"] == 2
+        assert level["fp_residual"] == report.objective_trace[2 * i]
+        assert report.objective_trace[2 * i + 1] > level["fp_residual"]
 
 
 def test_sine_instance_apriori_bounds_hold(sine_report):

@@ -128,12 +128,13 @@ def test_time_weights_sum_to_horizon():
 
 
 def test_time_stencil_matrix_matches_operator():
-    g = Grid(nt=8, nx=5, horizon=1.3)
     rng = np.random.default_rng(0)
-    f = rng.standard_normal((g.nt, g.nx))
-    assert np.allclose(time_stencil_matrix(g) @ f, dt_interior(g, f), atol=1e-13)
-    # transpose application agrees with the explicit matrix transpose
-    assert np.allclose(dt_transpose(g, f), time_stencil_matrix(g).T @ f, atol=1e-13)
+    for nt in (8, 3, 256):
+        g = Grid(nt=nt, nx=5, horizon=1.3)
+        f = rng.standard_normal((g.nt, g.nx))
+        assert np.allclose(time_stencil_matrix(g) @ f, dt_interior(g, f), atol=1e-13)
+        # transpose application agrees with the explicit matrix transpose
+        assert np.allclose(dt_transpose(g, f), time_stencil_matrix(g).T @ f, atol=1e-13)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(4, 40), st.integers(3, 30))
