@@ -503,6 +503,21 @@ def _write_diagnostics(path, header: str, rows) -> None:
 # assumption validation
 
 
+def _lagrangian_growth(L) -> tuple[str, str]:
+    """Status and detail of the superlinear-growth check on ``L`` at ``|w|`` in {1e2, 1e4}."""
+    lo, hi = 1e2, 1e4
+    try:
+        vals = np.array([L(np.asarray(s)) for s in (lo, hi, -lo, -hi)], dtype=float)
+    except RuntimeError as exc:  # the Legendre transform found no p with H'(p) = w
+        return "fail", str(exc)
+    if np.min(vals) <= 0.0:
+        return "fail", f"L not positive at |w| in {{1e2, 1e4}}: min {np.min(vals):.3e}"
+    beta_hat = min(np.log(vals[1] / vals[0]), np.log(vals[3] / vals[2])) / np.log(hi / lo)
+    if beta_hat > 1.01:
+        return "pass", f"fitted growth exponent {beta_hat:.3f} > 1"
+    return "fail", f"fitted growth exponent {beta_hat:.3f}; superlinear growth not witnessed"
+
+
 def run_validation(config: RunConfig, quiet: bool = False) -> int:
     """Sample the structural assumptions; 0 all pass, 2 any failure."""
     target = config.spec
@@ -567,24 +582,7 @@ def run_validation(config: RunConfig, quiet: bool = False) -> int:
     if target.model is None:
         results.append(("lagrangian_growth", "skip", "no hamiltonian block in this mode"))
     else:
-        L = target.model.lagrangian.eval
-        lo, hi = 1e2, 1e4
-        vals = np.array([L(np.asarray(s)) for s in (lo, hi, -lo, -hi)], dtype=float)
-        if np.min(vals) <= 0.0:
-            results.append(("lagrangian_growth", "fail",
-                            f"L not positive at |w| in {{1e2, 1e4}}: min {np.min(vals):.3e}"))
-        else:
-            beta_hat = min(
-                np.log(vals[1] / vals[0]) / np.log(hi / lo),
-                np.log(vals[3] / vals[2]) / np.log(hi / lo),
-            )
-            if beta_hat > 1.01:
-                results.append(("lagrangian_growth", "pass",
-                                f"fitted growth exponent {beta_hat:.3f} > 1"))
-            else:
-                results.append(("lagrangian_growth", "fail",
-                                f"fitted growth exponent {beta_hat:.3f}; "
-                                "superlinear growth not witnessed"))
+        results.append(("lagrangian_growth", *_lagrangian_growth(target.model.lagrangian.eval)))
 
     if not quiet:
         for name, status, detail in results:

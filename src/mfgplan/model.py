@@ -2,9 +2,9 @@
 
 This module bundles the model data every solver consumes: a convex
 Hamiltonian ``H``, its conjugate Lagrangian ``L`` (supplied analytically or
-computed by a bracketed Legendre transform), a convex coupling ``G`` with
-density derivative ``g = G'``, a spatial potential ``V``, and the perspective
-integrand
+computed by a Legendre transform: bracket-guarded secant steps on ``H'``), a
+convex coupling ``G`` with density derivative ``g = G'``, a spatial potential
+``V``, and the perspective integrand
 
     L0(z, y) = y * L(z / y)   for y > 0,
     L0(z, 0) = +inf           for z != 0,
@@ -12,7 +12,8 @@ integrand
 
 which is jointly convex on R x [0, inf).  ``+inf`` is a first-class value
 here: the optimizer treats an infinite objective as a rejected step, so no
-penalty parameters are needed.
+penalty parameters are needed.  Its partials read ``d/dy = -H(L'(z/y))``
+off ``H``, so they cost one slope inversion.
 
 All objects are immutable after construction and evaluation is pure, so model
 evaluation may be shared freely across workers.
@@ -129,17 +130,56 @@ def _bracket_slope(ham: Hamiltonian, w: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _invert_slope(ham: Hamiltonian, w: np.ndarray) -> np.ndarray:
-    """Solve H'(p) = w elementwise by bracketed bisection to machine precision."""
+    """Solve H'(p) = w elementwise by secant steps guarded by the slope bracket.
+
+    Secant steps through each element's best point (the bracket end with the
+    smaller ``|H'(p) - w|``) and its last other point start at the
+    regula-falsi point of the :func:`_bracket_slope` bracket; a step out of
+    the bracket, or one after two steps that did not halve it, bisects.  An
+    estimate within ``tol = 1e-15 (1 + |p|)`` of the best point is confirmed
+    by a point ``tol`` beyond it: an element stops once its bracket is
+    ``2 tol`` wide or it hits a root.  Raises ``RuntimeError`` for a slope
+    that is not finite, outside the range of ``H'``, or not converged in 360
+    steps.
+    """
     w = np.asarray(w, dtype=float)
+    if not np.all(np.isfinite(w)):
+        bad = float(w[~np.isfinite(w)].flat[0])
+        raise RuntimeError(f"Legendre transform failed: slope w={bad:.6g} is not finite")
     lo, hi = _bracket_slope(ham, w)
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        above = ham.derivative(mid) > w
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        if np.max(hi - lo) <= 1e-15 * (1.0 + np.max(np.abs(mid))):
-            break
-    return 0.5 * (lo + hi)
+    shape, out, todo = w.shape, np.empty(w.size), np.arange(w.size)
+    w, lo, hi = w.ravel(), lo.ravel(), hi.ravel()
+    a, fa, b, fb = lo, ham.derivative(lo) - w, hi, ham.derivative(hi) - w
+    p = est = a - fa * (b - a) / (fb - fa)
+    prev = older = np.full(w.size, np.inf)  # bracket widths one and two steps back
+    finished = np.zeros(w.size, dtype=bool)
+    for _ in range(360):
+        f = ham.derivative(p) - w
+        hi, lo = np.where(f >= 0, p, hi), np.where(f <= 0, p, lo)
+        better = np.abs(f) <= np.abs(fb)
+        a, fa = np.where(better, b, p), np.where(better, fb, f)
+        b, fb = np.where(better, p, b), np.where(better, f, fb)
+        width, tol = hi - lo, 1e-15 * (1.0 + np.abs(b))
+        done = width <= 2.0 * tol
+        if done.any():
+            new = np.flatnonzero(done & ~finished)
+            out[todo[new]] = np.where(fb[new] == 0, b[new], est[new])
+            finished |= done
+            if finished.all():
+                return out.reshape(shape)
+            left = np.flatnonzero(~finished)
+            if 2 * left.size <= w.size:  # shrink the working set
+                todo, w, lo, hi, a, fa, b, fb, width, tol, prev, older, finished = (
+                    x[left]
+                    for x in (todo, w, lo, hi, a, fa, b, fb, width, tol, prev, older, finished)
+                )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = b - fb * (b - a) / (fb - fa)
+        est = np.where((lo < s) & (s < hi) & (width <= 0.5 * older), s, 0.5 * (lo + hi))
+        older, prev = prev, width
+        p = np.where(np.abs(est - b) < tol, est + np.copysign(tol, est - b), est)
+    bad = float(w[~finished][0])
+    raise RuntimeError(f"Legendre transform failed: slope w={bad:.6g} did not converge")
 
 
 def lagrangian_from_hamiltonian(ham: Hamiltonian) -> Lagrangian:
@@ -162,6 +202,7 @@ class PerspectiveL0:
     """Perspective of a Lagrangian, extended to the boundary ``y = 0``."""
 
     lagrangian: Lagrangian
+    hamiltonian: Hamiltonian  # the conjugate of ``lagrangian``
 
     def value(self, z, y):
         z = np.asarray(z, dtype=float)
@@ -176,14 +217,16 @@ class PerspectiveL0:
         return float(out) if out.ndim == 0 else out
 
     def partials(self, z, y):
-        """(d/dz, d/dy) of the perspective at ``y > 0``."""
+        """(d/dz, d/dy) of the perspective at ``y > 0``: ``(p, -H(p))``, ``p = L'(z/y)``.
+
+        ``-H(L'(w)) = L(w) - w L'(w)`` (Fenchel), so one slope inversion serves both.
+        """
         z = np.asarray(z, dtype=float)
         y = np.asarray(y, dtype=float)
         if np.any(y <= 0):
             raise ValueError("perspective partials require y > 0")
-        w = z / y
-        lp = self.lagrangian.derivative(w)
-        return lp, self.lagrangian.eval(w) - w * lp
+        p = self.lagrangian.derivative(z / y)
+        return p, -self.hamiltonian.eval(p)
 
 
 # --- built-in model library -------------------------------------------------
@@ -262,19 +305,14 @@ def build_model(
     hamiltonian: Hamiltonian | None = None,
     coupling: Coupling | None = None,
     potential: SpatialPotential | None = None,
-    lagrangian: Lagrangian | None = None,
 ) -> MFGModel:
-    """Assemble a model, defaulting to H = p^2/2, G = z^2/2, V = 0.
-
-    The Lagrangian is derived from the Hamiltonian unless supplied
-    analytically.
-    """
+    """Assemble a model, defaulting to H = p^2/2, G = z^2/2, V = 0; L is H's conjugate."""
     ham = hamiltonian if hamiltonian is not None else quadratic_hamiltonian()
-    lag = lagrangian if lagrangian is not None else lagrangian_from_hamiltonian(ham)
+    lag = lagrangian_from_hamiltonian(ham)
     return MFGModel(
         hamiltonian=ham,
         lagrangian=lag,
-        perspective=PerspectiveL0(lag),
+        perspective=PerspectiveL0(lag, ham),
         coupling=coupling if coupling is not None else quadratic_coupling(),
         potential=potential if potential is not None else zero_potential(),
     )

@@ -272,12 +272,22 @@ def test_starved_congestion_flags_nonconvergence(tmp_path):
     assert report["converged"] is False
 
 
-def test_identical_configs_byte_identical_outputs(tmp_path):
+@pytest.mark.parametrize(
+    "model",
+    [
+        {},
+        {"hamiltonian": {"type": "power", "alpha": 1.5},
+         "coupling": {"type": "power", "gamma": 2.5}},
+    ],
+    ids=["quadratic", "power"],
+)
+def test_identical_configs_byte_identical_outputs(tmp_path, model):
     doc = planning_doc()
-    doc["planning"]["m0"] = {"type": "sine", "amplitude": 0.1, "mode": 1}
+    doc["planning"].update(model, m0={"type": "sine", "amplitude": 0.1, "mode": 1})
     path = write_config(tmp_path, doc)
     assert main(["solve", str(path), "--out", str(tmp_path / "a"), "--quiet"]) == 0
     assert main(["solve", str(path), "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    assert json.loads((tmp_path / "a" / "report.json").read_text())["converged"]
     for name in ("solution_phi.csv", "solution_q.csv", "solution_u.csv",
                  "solution_m.csv", "diagnostics.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
@@ -313,6 +323,22 @@ def test_validation_flags_density_touching_zero(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "FAIL density_lower_bound" in printed
     assert "x index 0" in printed
+
+
+def test_validation_reports_slope_beyond_reach(tmp_path, capsys):
+    # H'(p) = 1.05 p (1 + p^2)^(-0.475) is below 10 for every p the slope
+    # bracket tries, so L(1e2) has no maximiser: a failed check, not an abort
+    doc = validate_doc({"m0": "uniform", "mT": "uniform",
+                        "hamiltonian": {"type": "power", "alpha": 1.05}})
+    doc["output_dir"] = str(tmp_path / "out")
+    assert main(["validate", str(write_config(tmp_path, doc))]) == 2
+    assert "FAIL lagrangian_growth: Legendre transform failed" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    by_name = {e["name"]: e for e in report["assumptions"]}
+    assert "exceeds the range of H'" in by_name["lagrangian_growth"]["detail"]
+    assert by_name["lagrangian_growth"]["status"] == "fail"
+    assert by_name["density_lower_bound"]["status"] == "pass"
+    assert by_name["coupling_growth"]["status"] == "pass"
 
 
 def test_validation_flags_linear_coupling(tmp_path):

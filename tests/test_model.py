@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfgplan import model
 from mfgplan.model import (
     Hamiltonian,
-    PerspectiveL0,
     build_model,
     lagrangian_from_hamiltonian,
     power_coupling,
@@ -74,8 +74,108 @@ def test_lagrangian_inverts_slope():
         assert np.max(np.abs(ham.derivative(lag.derivative(w)) - w)) < 1e-8
 
 
+def _bisection_oracle(ham, w):
+    """Reference root of H'(p) = w: bisection until lo and hi are neighbours."""
+    lo, hi = model._bracket_slope(ham, w)
+    for _ in range(2000):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        above = ham.derivative(mid) > w
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 3.0, 6.0])
+def test_invert_slope_mixed_magnitudes(alpha):
+    # One array mixes slopes twelve orders of magnitude apart: every element
+    # must meet its own tolerance, whatever the largest root in the array.
+    ham = power_hamiltonian(alpha)
+    mags = np.array([0.0, 1e-12, 1e-3, 7.3, 1e2, 1e4])
+    w = np.concatenate([mags, -mags[1:]])
+    # the widest bracket _bracket_slope builds is [-2**63, 2**63]
+    w = w[np.abs(w) < ham.derivative(np.asarray(2.0**63))]
+    p = model._invert_slope(ham, w)
+    assert np.all(np.abs(ham.derivative(p) - w) <= 1e-14 * (1.0 + np.abs(w)))
+    assert np.all(np.abs(p - _bisection_oracle(ham, w)) <= 1e-14 * (1.0 + np.abs(p)))
+    alone = np.array([model._invert_slope(ham, np.asarray(x)) for x in w])
+    assert np.array_equal(p, alone)
+
+
+def test_invert_slope_rejects_non_finite_slope():
+    lag = lagrangian_from_hamiltonian(power_hamiltonian(1.5))
+    with pytest.raises(RuntimeError, match="slope w=nan is not finite"):
+        lag.derivative(np.array([np.nan, 0.5]))
+    with pytest.raises(RuntimeError, match="slope w=-inf is not finite"):
+        lag.eval(np.array([0.5, -np.inf]))
+
+
+def test_invert_slope_raises_when_it_cannot_converge():
+    # H' is NaN from p = 0.5 on, so the bracket [-1, 1] never narrows
+    ham = Hamiltonian(
+        eval=lambda p: np.asarray(p, dtype=float),
+        derivative=lambda p: np.where(np.asarray(p) < 0.5, np.asarray(p, dtype=float), np.nan),
+    )
+    with pytest.raises(RuntimeError, match="w=0.7 did not converge"):
+        model._invert_slope(ham, np.array([0.7]))
+
+
+KINKED = Hamiltonian(  # H' has slope 1 for p < 0 and 10 for p > 0
+    eval=lambda p: np.where(np.asarray(p) < 0, 0.5, 5.0) * np.square(p),
+    derivative=lambda p: np.where(np.asarray(p) < 0, 1.0, 10.0) * np.asarray(p, dtype=float),
+)
+CUSPED = Hamiltonian(  # H = |p|^1.1 / 1.1: H' = sign(p) |p|^0.1, vertical at p = 0
+    eval=lambda p: np.abs(p) ** 1.1 / 1.1,
+    derivative=lambda p: np.sign(p) * np.abs(p) ** 0.1,
+    beta=1.1,
+)
+FLAT = Hamiltonian(  # H = p^6 / 6: H' = p^5, flat at p = 0
+    eval=lambda p: np.asarray(p, dtype=float) ** 6 / 6.0,
+    derivative=lambda p: np.asarray(p, dtype=float) ** 5,
+    beta=6.0,
+)
+
+
+@pytest.mark.parametrize(
+    "ham, root",
+    [
+        (KINKED, lambda w: np.where(w < 0, w, w / 10.0)),
+        (CUSPED, lambda w: np.sign(w) * np.abs(w) ** 10),
+        (FLAT, lambda w: np.sign(w) * np.abs(w) ** 0.2),
+    ],
+    ids=["kinked", "cusped", "flat"],
+)
+@pytest.mark.parametrize("w", [-7.3, -0.3, -1e-3, 1e-20, 1e-12, 1e-3, 0.5, 3.0])
+def test_invert_slope_guard_halves_the_bracket(ham, root, w):
+    # Secant steps alone can crawl on slopes like these: the guard's bisections
+    # must halve the bracket at least every third evaluation, and a sign change
+    # must confirm each root (at w = 1e-20 the flat slope's first secant step
+    # is shorter than the tolerance, 1e-4 away from the root).
+    seen = []
+
+    def recorded(p):
+        seen.append(float(np.ravel(p)[0]))
+        return ham.derivative(p)
+
+    spy = Hamiltonian(eval=ham.eval, derivative=recorded)
+    w = np.array([w])
+    model._bracket_slope(spy, w)
+    searched = len(seen)
+    p = model._invert_slope(spy, w)
+    assert abs(p[0] - root(w[0])) <= 1e-13 * (1.0 + abs(p[0]))
+    # from the bracket ends on (evaluated again for the regula-falsi start)
+    pts = np.array(seen[2 * searched:])
+    f = ham.derivative(pts) - w[0]
+    width = np.array([
+        np.min(pts[:j][f[:j] >= 0]) - np.max(pts[:j][f[:j] <= 0])
+        for j in range(3, len(pts) + 1)
+    ])
+    assert np.all(width[3:] <= 0.5 * width[:-3])
+
+
 def test_perspective_case_split():
-    p0 = PerspectiveL0(lagrangian_from_hamiltonian(quadratic_hamiltonian()))
+    p0 = build_model().perspective
     assert p0.value(0.0, 0.0) == 0.0
     assert p0.value(1.0, 0.0) == np.inf
     assert p0.value(2.0, 4.0) == pytest.approx(0.5, abs=1e-12)
@@ -90,7 +190,7 @@ def test_perspective_case_split():
 
 
 def test_perspective_partials_quadratic():
-    p0 = PerspectiveL0(lagrangian_from_hamiltonian(quadratic_hamiltonian()))
+    p0 = build_model().perspective
     dz, dy = p0.partials(2.0, 1.0)
     assert dz == pytest.approx(2.0, abs=1e-12)
     assert dy == pytest.approx(-2.0, abs=1e-12)
@@ -103,11 +203,15 @@ def test_perspective_partials_quadratic():
         p0.partials(1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "ham", [quadratic_hamiltonian(), power_hamiltonian(1.5), power_hamiltonian(3.0)],
+    ids=lambda h: h.name,
+)
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
-def test_perspective_partials_match_differences(seed):
+def test_perspective_partials_match_differences(ham, seed):
     rng = np.random.default_rng(seed)
-    p0 = PerspectiveL0(lagrangian_from_hamiltonian(quadratic_hamiltonian()))
+    p0 = build_model(ham).perspective
     z = rng.uniform(-3.0, 3.0)
     y = rng.uniform(0.2, 5.0)
     h = 1e-6
@@ -119,7 +223,7 @@ def test_perspective_partials_match_differences(seed):
 
 
 def test_perspective_joint_convexity_sampled():
-    p0 = PerspectiveL0(lagrangian_from_hamiltonian(quadratic_hamiltonian()))
+    p0 = build_model().perspective
     rng = np.random.default_rng(42)
     n = 10_000
     za, zb = rng.uniform(-5.0, 5.0, n), rng.uniform(-5.0, 5.0, n)
@@ -132,7 +236,7 @@ def test_perspective_joint_convexity_sampled():
 
 
 def test_perspective_blows_up_toward_vanishing_y():
-    p0 = PerspectiveL0(lagrangian_from_hamiltonian(quadratic_hamiltonian()))
+    p0 = build_model().perspective
     ys = 10.0 ** -np.arange(1, 13)
     vals = np.array([p0.value(1.0, y) for y in ys])
     assert np.all(np.diff(vals) > 0)

@@ -15,6 +15,7 @@ from mfgplan.grid import (
     time_stencil_matrix,
     time_weights,
 )
+from mfgplan import model as model_module
 from mfgplan.model import build_model, cosine_potential, power_coupling, power_hamiltonian
 from mfgplan.planning import (
     PlanningSpec,
@@ -286,3 +287,21 @@ def test_preconditioner_matches_dense_per_mode_cholesky(order, nx, power):
         assert gp1 == pytest.approx(1.5, rel=1e-6)
     out = _build_preconditioner(spec)(rhs)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_power_model_inverts_the_slope_once_per_call(monkeypatch, order):
+    calls = []
+    invert = model_module._invert_slope
+
+    def counted(ham, w):
+        calls.append(1)
+        return invert(ham, w)
+
+    monkeypatch.setattr(model_module, "_invert_slope", counted)
+    spec = sine_spec(model=build_model(power_hamiltonian(1.5), power_coupling(2.5)), order=order)
+    pp = random_feasible_pair(spec, np.random.default_rng(4))
+    objective(spec, pp)
+    assert len(calls) == 1
+    gradient(spec, pp)
+    assert len(calls) == 2
