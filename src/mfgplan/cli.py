@@ -43,6 +43,7 @@ from .model import (
     Coupling,
     MFGModel,
     build_model,
+    check_assumptions,
     cosine_potential,
     power_coupling,
     power_hamiltonian,
@@ -171,9 +172,26 @@ def _density_from(entry, grid: Grid, path: str) -> np.ndarray:
     raise ConfigError(f"schema violation at {path}.type: unknown density type {kind!r}")
 
 
-def _model_from(block: dict, path: str) -> MFGModel:
+@dataclass
+class ValidationTarget:
+    """The model and endpoint densities of a planning or validate block."""
+
+    model: MFGModel
+    grid: Grid
+    m0: np.ndarray
+    mT: np.ndarray
+
+
+_PLANNING_KEYS = {
+    "hamiltonian", "coupling", "potential", "m0", "mT",
+    "order", "tol", "floor", "max_iters", "step0",
+}
+
+
+def _target_from(block: dict, grid: Grid, path: str) -> ValidationTarget:
+    """Parse the keys planning and validate blocks share; reject unknown ones."""
     block = _as_block(block, path)
-    _reject_unknown(block, {"hamiltonian", "coupling", "potential"}, path)
+    _reject_unknown(block, _PLANNING_KEYS, path)
 
     ham_entry = block.get("hamiltonian", "quadratic")
     if ham_entry == "quadratic":
@@ -197,8 +215,6 @@ def _model_from(block: dict, path: str) -> MFGModel:
         coup = Coupling(
             G=lambda z: np.asarray(z, dtype=float).copy(),
             g=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-            growth_c=1.0,
-            growth_gamma=1.0,
         )
     else:
         cb = _as_block(coup_entry, f"{path}.coupling")
@@ -224,42 +240,25 @@ def _model_from(block: dict, path: str) -> MFGModel:
         freq = _integer(pb.get("frequency", 1), f"{path}.potential.frequency", lo=1)
         pot = cosine_potential(amplitude=amp, frequency=freq)
 
-    return build_model(hamiltonian=ham, coupling=coup, potential=pot)
-
-
-@dataclass
-class ValidationTarget:
-    """What the assumption validator needs from a planning-style block."""
-
-    model: MFGModel | None
-    grid: Grid
-    m0: np.ndarray
-    mT: np.ndarray
-
-
-_PLANNING_KEYS = {
-    "hamiltonian", "coupling", "potential", "m0", "mT",
-    "order", "tol", "floor", "max_iters", "step0",
-}
+    return ValidationTarget(
+        model=build_model(hamiltonian=ham, coupling=coup, potential=pot),
+        grid=grid,
+        m0=_density_from(_require(block, "m0", path), grid, f"{path}.m0"),
+        mT=_density_from(_require(block, "mT", path), grid, f"{path}.mT"),
+    )
 
 
 def _planning_from(block: dict, grid: Grid, path: str) -> PlanningSpec:
-    block = _as_block(block, path)
-    _reject_unknown(block, _PLANNING_KEYS, path)
-    model = _model_from(
-        {k: block[k] for k in ("hamiltonian", "coupling", "potential") if k in block}, path
-    )
-    m0 = _density_from(_require(block, "m0", path), grid, f"{path}.m0")
-    mT = _density_from(_require(block, "mT", path), grid, f"{path}.mT")
+    target = _target_from(block, grid, path)
     order = _integer(block.get("order", 0), f"{path}.order")
     if order not in (0, 1):
         raise ConfigError(f"range violation at {path}.order: must be 0 or 1, got {order}")
     try:
         return PlanningSpec(
             grid=grid,
-            model=model,
-            m0=m0,
-            mT=mT,
+            model=target.model,
+            m0=target.m0,
+            mT=target.mT,
             order=order,
             max_iters=_integer(block.get("max_iters", 20000), f"{path}.max_iters", lo=1),
             tol=_number(block.get("tol", 1e-8), f"{path}.tol", lo=0.0, lo_open=True),
@@ -375,17 +374,6 @@ def _hughes_from(block: dict, path: str) -> HughesSpec:
         raise ConfigError(f"range violation in {path}: {exc}") from exc
 
 
-def _validate_target_from(block: dict, grid: Grid, path: str) -> ValidationTarget:
-    block = _as_block(block, path)
-    _reject_unknown(block, _PLANNING_KEYS, path)
-    model = _model_from(
-        {k: block[k] for k in ("hamiltonian", "coupling", "potential") if k in block}, path
-    )
-    m0 = _density_from(_require(block, "m0", path), grid, f"{path}.m0")
-    mT = _density_from(_require(block, "mT", path), grid, f"{path}.mT")
-    return ValidationTarget(model=model, grid=grid, m0=m0, mT=mT)
-
-
 def parse_config(path) -> RunConfig:
     """Load, schema-check, and range-check one YAML run description."""
     path = Path(path)
@@ -433,7 +421,7 @@ def parse_config(path) -> RunConfig:
         elif mode == "congestion":
             spec = _congestion_from(block, grid, "congestion")
         else:
-            spec = _validate_target_from(block, grid, "validate")
+            spec = _target_from(block, grid, "validate")
     return RunConfig(schema_version=version, mode=mode, seed=seed,
                      output_dir=output_dir, spec=spec, raw=doc)
 
@@ -447,11 +435,12 @@ def _fmt(v) -> str:
 
 
 def write_field_csv(path, ts, xs, field) -> None:
-    field = np.asarray(field)
+    field = np.asarray(field, dtype=float)
+    line = ",".join(["%.17g"] * (field.shape[1] + 1)) + "\n"
     with open(path, "w") as fh:
         fh.write("t," + ",".join(_fmt(x) for x in xs) + "\n")
         for t, row in zip(ts, field):
-            fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in row) + "\n")
+            fh.write(line % (t, *row))
 
 
 def write_series_csv(path, ts, series) -> None:
@@ -503,89 +492,18 @@ def _write_diagnostics(path, header: str, rows) -> None:
 # assumption validation
 
 
-def _lagrangian_growth(L) -> tuple[str, str]:
-    """Status and detail of the superlinear-growth check on ``L`` at ``|w|`` in {1e2, 1e4}."""
-    lo, hi = 1e2, 1e4
-    try:
-        vals = np.array([L(np.asarray(s)) for s in (lo, hi, -lo, -hi)], dtype=float)
-    except RuntimeError as exc:  # the Legendre transform found no p with H'(p) = w
-        return "fail", str(exc)
-    if np.min(vals) <= 0.0:
-        return "fail", f"L not positive at |w| in {{1e2, 1e4}}: min {np.min(vals):.3e}"
-    beta_hat = min(np.log(vals[1] / vals[0]), np.log(vals[3] / vals[2])) / np.log(hi / lo)
-    if beta_hat > 1.01:
-        return "pass", f"fitted growth exponent {beta_hat:.3f} > 1"
-    return "fail", f"fitted growth exponent {beta_hat:.3f}; superlinear growth not witnessed"
-
-
 def run_validation(config: RunConfig, quiet: bool = False) -> int:
-    """Sample the structural assumptions; 0 all pass, 2 any failure."""
-    target = config.spec
-    if isinstance(target, CongestionSpec):
-        target = ValidationTarget(model=None, grid=target.grid,
-                                  m0=target.m0, mT=target.mT)
-    if not isinstance(target, ValidationTarget):
+    """Report :func:`model.check_assumptions` on the config; 0 all pass, 2 any failure."""
+    spec = config.spec
+    if isinstance(spec, HughesSpec):
         raise ConfigError(
             "assumption validation needs a planning, validate, or congestion block"
         )
-    rng = np.random.default_rng(config.seed)
-    results = []
-
-    if target.model is None:
-        results.append(("strict_convexity_of_coupling", "skip",
-                        "no coupling block in this mode"))
-        results.append(("coupling_growth", "skip", "no coupling block in this mode"))
-    else:
-        G = target.model.coupling.G
-        z1 = rng.uniform(-4.0, 4.0, 400)
-        z2 = z1 + rng.uniform(0.2, 3.0, 400) * rng.choice([-1.0, 1.0], 400)
-        slack = 0.5 * (G(z1) + G(z2)) - G(0.5 * (z1 + z2))
-        floor = 1e-10 * np.square(z1 - z2)
-        bad = np.flatnonzero(slack <= floor)
-        if bad.size:
-            i = bad[0]
-            results.append(("strict_convexity_of_coupling", "fail",
-                            f"midpoint slack {slack[i]:.3e} at z pair "
-                            f"({z1[i]:.4f}, {z2[i]:.4f})"))
-        else:
-            results.append(("strict_convexity_of_coupling", "pass",
-                            f"min midpoint slack {np.min(slack):.3e} over 400 pairs"))
-
-        lo, hi = 1e2, 1e4
-        vals = np.array([G(np.asarray(s)) for s in (lo, hi, -lo, -hi)], dtype=float)
-        shift = 1.0 + max(0.0, -float(np.min(vals)))
-        gamma_pos = np.log((vals[1] + shift) / (vals[0] + shift)) / np.log(hi / lo)
-        gamma_neg = np.log((vals[3] + shift) / (vals[2] + shift)) / np.log(hi / lo)
-        gamma_hat = min(gamma_pos, gamma_neg)
-        if gamma_hat > 1.01:
-            results.append(("coupling_growth", "pass",
-                            f"fitted growth exponent {gamma_hat:.3f} > 1"))
-        else:
-            results.append(("coupling_growth", "fail",
-                            f"fitted growth exponent {gamma_hat:.3f} at z in {{1e2, 1e4}}; "
-                            "superlinear growth not witnessed"))
-
-    worst = ("", np.inf, -1)
-    for name, m in (("m0", target.m0), ("mT", target.mT)):
-        j = int(np.argmin(m))
-        if m[j] < worst[1]:
-            worst = (name, float(m[j]), j)
-    if worst[1] > 0.0:
-        results.append(("density_lower_bound", "pass",
-                        f"k0 = {worst[1]:.6g} attained by {worst[0]} "
-                        f"at x index {worst[2]}"))
-    else:
-        results.append(("density_lower_bound", "fail",
-                        f"{worst[0]} touches {worst[1]:.6g} at x index {worst[2]} "
-                        f"(x = {target.grid.x[worst[2]]:.6f})"))
-
-    if target.model is None:
-        results.append(("lagrangian_growth", "skip", "no hamiltonian block in this mode"))
-    else:
-        results.append(("lagrangian_growth", *_lagrangian_growth(target.model.lagrangian.eval)))
-
+    model = None if isinstance(spec, CongestionSpec) else spec.model
+    checks = check_assumptions(model, spec.m0, spec.mT, spec.grid.x,
+                               np.random.default_rng(config.seed))
     if not quiet:
-        for name, status, detail in results:
+        for name, (status, detail) in checks.items():
             print(f"{status.upper():4s} {name}: {detail}")
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -594,11 +512,11 @@ def run_validation(config: RunConfig, quiet: bool = False) -> int:
             "mode": "validate",
             "seed": config.seed,
             "assumptions": [
-                {"name": n, "status": s, "detail": d} for n, s, d in results
+                {"name": n, "status": s, "detail": d} for n, (s, d) in checks.items()
             ],
         }), fh, indent=2)
         fh.write("\n")
-    return 0 if all(s != "fail" for _, s, _ in results) else 2
+    return 0 if all(s != "fail" for s, _ in checks.values()) else 2
 
 
 # ---------------------------------------------------------------------------

@@ -308,20 +308,14 @@ def inner_phi_objective(spec: CongestionSpec, eps: float, f1: Field, phi: Field)
     return 0.5 * eps * (mass + reg) + float(np.sum(w * f1 * phi))
 
 
-def inner_phi_solve(
-    spec: CongestionSpec,
-    eps: float,
-    pp0: PotentialPair,
-    x0: Field | None = None,
-) -> Field:
+def inner_phi_solve(spec: CongestionSpec, eps: float, pp0: PotentialPair) -> Field:
     """Minimize the frozen-operator quadratic over the constraint set.
 
     Exact solve on the pinned/mean-free subspace (``eps (W + dt dx R)``
     factored once per call), then a density repair if the floor
     ``phi_x + 1 >= eps`` is violated.  The returned field never has a
     larger objective than the time-linear interpolant of the boundary
-    slices (which is the fallback candidate).  ``x0``, a warm start, is
-    accepted but unused: the direct solve does not depend on it.
+    slices (which is the fallback candidate).
     """
     g = spec.grid
     f1 = apply_F(spec, pp0, eps=eps).f1

@@ -15,6 +15,10 @@ here: the optimizer treats an infinite objective as a rejected step, so no
 penalty parameters are needed.  Its partials read ``d/dy = -H(L'(z/y))``
 off ``H``, so they cost one slope inversion.
 
+Existence and uniqueness need ``H`` and ``G`` strictly convex and superlinear
+and endpoint densities bounded below by some ``k0 > 0``.  No object declares
+these: :func:`check_assumptions` samples them for ``mfgplan validate``.
+
 All objects are immutable after construction and evaluation is pure, so model
 evaluation may be shared freely across workers.
 """
@@ -41,13 +45,13 @@ __all__ = [
     "zero_potential",
     "cosine_potential",
     "build_model",
-    "validate_model",
+    "check_assumptions",
 ]
 
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Strictly convex superlinear Hamiltonian.
+    """Strictly convex superlinear Hamiltonian (sampled by :func:`check_assumptions`).
 
     Parameters
     ----------
@@ -55,8 +59,6 @@ class Hamiltonian:
         ``H(p)``, vectorized over ndarrays.
     derivative : callable
         ``H'(p)``, vectorized; must be strictly increasing.
-    beta : float
-        Superlinearity exponent tag (``> 1``); used by validation only.
     name : str
         Registry tag.  ``"quadratic"`` unlocks the analytic conjugate
         shortcut ``L(w) = w**2 / 2``.
@@ -64,7 +66,6 @@ class Hamiltonian:
 
     eval: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
-    beta: float = 2.0
     name: str = "custom"
 
 
@@ -82,12 +83,10 @@ class Lagrangian:
 
 @dataclass(frozen=True)
 class Coupling:
-    """Density coupling ``G`` with ``g = G'``, plus growth metadata."""
+    """Strictly convex superlinear density coupling ``G`` on ``z >= 0``, ``g = G'``."""
 
     G: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
-    growth_c: float = 1.0
-    growth_gamma: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -102,12 +101,16 @@ class SpatialPotential:
         return np.broadcast_to(v, (grid.nx,)).copy()
 
 
-def _bracket_slope(ham: Hamiltonian, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Expand [lo, hi] until H'(lo) <= w <= H'(hi) elementwise."""
+def _bracket_slope(ham: Hamiltonian, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Expand [lo, hi] until H'(lo) <= w <= H'(hi) elementwise.
+
+    Returns ``(lo, H'(lo), hi, H'(hi))``.
+    """
     lo = np.full(w.shape, -1.0)
     hi = np.full(w.shape, 1.0)
     for _ in range(64):
-        need = ham.derivative(hi) < w
+        fhi = ham.derivative(hi)
+        need = fhi < w
         if not need.any():
             break
         hi = np.where(need, 2.0 * hi, hi)
@@ -117,7 +120,8 @@ def _bracket_slope(ham: Hamiltonian, w: np.ndarray) -> tuple[np.ndarray, np.ndar
             f"Legendre transform failed: slope w={bad:.6g} exceeds the range of H'"
         )
     for _ in range(64):
-        need = ham.derivative(lo) > w
+        flo = ham.derivative(lo)
+        need = flo > w
         if not need.any():
             break
         lo = np.where(need, 2.0 * lo, lo)
@@ -126,7 +130,7 @@ def _bracket_slope(ham: Hamiltonian, w: np.ndarray) -> tuple[np.ndarray, np.ndar
         raise RuntimeError(
             f"Legendre transform failed: slope w={bad:.6g} below the range of H'"
         )
-    return lo, hi
+    return lo, flo, hi, fhi
 
 
 def _invert_slope(ham: Hamiltonian, w: np.ndarray) -> np.ndarray:
@@ -146,10 +150,10 @@ def _invert_slope(ham: Hamiltonian, w: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         bad = float(w[~np.isfinite(w)].flat[0])
         raise RuntimeError(f"Legendre transform failed: slope w={bad:.6g} is not finite")
-    lo, hi = _bracket_slope(ham, w)
+    lo, flo, hi, fhi = _bracket_slope(ham, w)
     shape, out, todo = w.shape, np.empty(w.size), np.arange(w.size)
     w, lo, hi = w.ravel(), lo.ravel(), hi.ravel()
-    a, fa, b, fb = lo, ham.derivative(lo) - w, hi, ham.derivative(hi) - w
+    a, fa, b, fb = lo, np.ravel(flo) - w, hi, np.ravel(fhi) - w
     p = est = a - fa * (b - a) / (fb - fa)
     prev = older = np.full(w.size, np.inf)  # bracket widths one and two steps back
     finished = np.zeros(w.size, dtype=bool)
@@ -237,7 +241,6 @@ def quadratic_hamiltonian() -> Hamiltonian:
     return Hamiltonian(
         eval=lambda p: 0.5 * np.square(np.asarray(p, dtype=float)),
         derivative=lambda p: np.asarray(p, dtype=float).copy(),
-        beta=2.0,
         name="quadratic",
     )
 
@@ -254,7 +257,7 @@ def power_hamiltonian(alpha: float) -> Hamiltonian:
         p = np.asarray(p, dtype=float)
         return alpha * p * (1.0 + np.square(p)) ** (0.5 * alpha - 1.0)
 
-    return Hamiltonian(eval=H, derivative=Hp, beta=alpha, name=f"power-{alpha:g}")
+    return Hamiltonian(eval=H, derivative=Hp, name=f"power-{alpha:g}")
 
 
 def quadratic_coupling() -> Coupling:
@@ -262,8 +265,6 @@ def quadratic_coupling() -> Coupling:
     return Coupling(
         G=lambda z: 0.5 * np.square(np.asarray(z, dtype=float)),
         g=lambda z: np.asarray(z, dtype=float).copy(),
-        growth_c=1.0,
-        growth_gamma=2.0,
     )
 
 
@@ -274,8 +275,6 @@ def power_coupling(gamma: float) -> Coupling:
     return Coupling(
         G=lambda z: np.asarray(z, dtype=float) ** gamma / gamma,
         g=lambda z: np.asarray(z, dtype=float) ** (gamma - 1.0),
-        growth_c=1.0,
-        growth_gamma=gamma,
     )
 
 
@@ -318,63 +317,109 @@ def build_model(
     )
 
 
-def validate_model(model: MFGModel, rng: np.random.Generator, samples: int = 200) -> dict:
-    """Sample the structural assumptions the solvers rely on.
 
-    Returns a dict mapping check name to ``(ok, detail)``.  Failed checks
-    (a coupling slope inconsistent with ``G``, convexity slack violations)
-    are reported, not rejected: callers decide what to do with a failing
-    entry.
-    """
-    checks: dict[str, tuple[bool, str]] = {}
 
-    p1 = rng.uniform(-5.0, 5.0, samples)
-    p2 = p1 + rng.uniform(0.3, 4.0, samples) * rng.choice([-1.0, 1.0], samples)
-    t = rng.uniform(0.1, 0.9, samples)
-    mix = model.hamiltonian.eval(t * p1 + (1 - t) * p2)
-    chord = t * model.hamiltonian.eval(p1) + (1 - t) * model.hamiltonian.eval(p2)
-    gap = np.min(chord - mix)
-    checks["hamiltonian_strictly_convex"] = (
-        bool(gap > 0),
-        f"min chord gap {gap:.3e} over {samples} samples",
-    )
+# --- assumption checks -------------------------------------------------------
 
-    w = rng.uniform(-4.0, 4.0, samples)
-    slope_err = np.max(
-        np.abs(model.hamiltonian.derivative(model.lagrangian.derivative(w)) - w)
-    )
-    checks["lagrangian_inverts_slope"] = (
-        bool(slope_err < 1e-8),
-        f"max |H'(L'(w)) - w| = {slope_err:.3e}",
-    )
+_SAMPLES = 400
 
-    z = rng.uniform(0.05, 5.0, samples)
-    h = 1e-6
-    fd = (model.coupling.G(z + h) - model.coupling.G(z - h)) / (2 * h)
-    g = model.coupling.g(z)
-    rel = np.max(np.abs(fd - g) / (1.0 + np.abs(g)))
-    checks["coupling_slope_consistent"] = (
-        bool(rel < 1e-6),
-        f"max relative G'-vs-g mismatch {rel:.3e}",
-    )
 
-    if float(model.hamiltonian.eval(np.asarray(0.0))) <= 0.0:
-        lmin = float(np.min(model.lagrangian.eval(rng.uniform(-6.0, 6.0, samples))))
-        checks["lagrangian_nonnegative"] = (
-            bool(lmin >= -1e-12),
-            f"min sampled L = {lmin:.3e}",
-        )
+def _strictly_convex(f, rng: np.random.Generator, var: str, lo=-4.0) -> tuple[str, str]:
+    """Midpoint test of strict convexity on sampled pairs in ``[lo, lo + 8]``."""
+    c = rng.uniform(lo + 1.5, lo + 6.5, _SAMPLES)
+    d = rng.uniform(0.1, 1.5, _SAMPLES)
+    a, b = c - d, c + d
+    slack = 0.5 * (f(a) + f(b)) - f(c)
+    bad = np.flatnonzero(slack <= 4e-10 * np.square(d))
+    if bad.size:
+        i = bad[0]
+        return "fail", f"midpoint slack {slack[i]:.3e} at {var} pair ({a[i]:.4f}, {b[i]:.4f})"
+    return "pass", f"min midpoint slack {np.min(slack):.3e} over {_SAMPLES} pairs"
 
-    za, ya = rng.uniform(-3.0, 3.0, samples), rng.uniform(0.0, 10.0, samples)
-    zb, yb = rng.uniform(-3.0, 3.0, samples), rng.uniform(0.0, 10.0, samples)
-    s = rng.uniform(0.05, 0.95, samples)
-    mixed = model.perspective.value(s * za + (1 - s) * zb, s * ya + (1 - s) * yb)
-    chord = s * model.perspective.value(za, ya) + (1 - s) * model.perspective.value(zb, yb)
+
+def _superlinear(f, var: str, signs: tuple[float, ...]) -> tuple[str, str]:
+    """Growth exponent of ``f`` fitted between ``|var| = 1e2`` and ``1e4``, worst of ``signs``."""
+    lo, hi = 1e2, 1e4
+    vals = np.array([[f(np.asarray(s * r)) for r in (lo, hi)] for s in signs], dtype=float)
+    shift = 1.0 + max(0.0, -float(np.min(vals)))
+    exponent = np.min(np.log((vals[:, 1] + shift) / (vals[:, 0] + shift))) / np.log(hi / lo)
+    if exponent > 1.01:
+        return "pass", f"fitted growth exponent {exponent:.3f} > 1"
+    return "fail", (f"fitted growth exponent {exponent:.3f} at {var} in {{1e2, 1e4}}; "
+                    "superlinear growth not witnessed")
+
+
+def _inverts_slope(model: MFGModel, rng: np.random.Generator) -> tuple[str, str]:
+    w = rng.uniform(-4.0, 4.0, _SAMPLES)
+    err = np.max(np.abs(model.hamiltonian.derivative(model.lagrangian.derivative(w)) - w))
+    return ("pass" if err < 1e-8 else "fail"), f"max |H'(L'(w)) - w| = {err:.3e}"
+
+
+def _nonnegative_lagrangian(model: MFGModel, rng: np.random.Generator) -> tuple[str, str]:
+    h0 = float(model.hamiltonian.eval(np.asarray(0.0)))
+    if h0 > 0.0:  # then min L = -H(0) < 0 by conjugacy
+        return "skip", f"H(0) = {h0:.6g} > 0, so L takes negative values"
+    lmin = float(np.min(model.lagrangian.eval(rng.uniform(-6.0, 6.0, _SAMPLES))))
+    return ("pass" if lmin >= -1e-12 else "fail"), f"min sampled L = {lmin:.3e}"
+
+
+def _jointly_convex_perspective(model: MFGModel, rng: np.random.Generator) -> tuple[str, str]:
+    za, ya = rng.uniform(-3.0, 3.0, _SAMPLES), rng.uniform(0.0, 10.0, _SAMPLES)
+    zb, yb = rng.uniform(-3.0, 3.0, _SAMPLES), rng.uniform(0.0, 10.0, _SAMPLES)
+    s = rng.uniform(0.05, 0.95, _SAMPLES)
+    L0 = model.perspective.value
+    mixed = L0(s * za + (1 - s) * zb, s * ya + (1 - s) * yb)
+    chord = s * L0(za, ya) + (1 - s) * L0(zb, yb)
     finite = np.isfinite(chord)
     slack = np.min((chord - mixed)[finite]) if finite.any() else 0.0
-    checks["perspective_jointly_convex"] = (
-        bool(slack >= -1e-10),
-        f"worst convexity slack {slack:.3e}",
-    )
+    return ("pass" if slack >= -1e-10 else "fail"), f"worst convexity slack {slack:.3e}"
 
+
+def _consistent_coupling_slope(coupling: Coupling, rng: np.random.Generator) -> tuple[str, str]:
+    z, h = rng.uniform(0.05, 5.0, _SAMPLES), 1e-6
+    fd = (coupling.G(z + h) - coupling.G(z - h)) / (2 * h)
+    g = coupling.g(z)
+    rel = np.max(np.abs(fd - g) / (1.0 + np.abs(g)))
+    return ("pass" if rel < 1e-6 else "fail"), f"max relative G'-vs-g mismatch {rel:.3e}"
+
+
+def _density_lower_bound(m0: np.ndarray, mT: np.ndarray, x: np.ndarray) -> tuple[str, str]:
+    name, m = min((("m0", m0), ("mT", mT)), key=lambda nm: np.min(nm[1]))
+    j = int(np.argmin(m))
+    if m[j] > 0.0:
+        return "pass", f"k0 = {m[j]:.6g} attained by {name} at x index {j}"
+    return "fail", f"{name} touches {m[j]:.6g} at x index {j} (x = {x[j]:.6f})"
+
+
+def check_assumptions(model: MFGModel | None, m0: np.ndarray, mT: np.ndarray, x: np.ndarray,
+                      rng: np.random.Generator) -> dict[str, tuple[str, str]]:
+    """Sample the assumptions behind existence and uniqueness of the minimizer.
+
+    Returns ``{name: (status, detail)}``, status ``"pass"``, ``"fail"`` or
+    ``"skip"``.  Model checks (skipped for ``model=None``): ``H`` and ``G``
+    strictly convex, ``L`` and ``G`` superlinear, ``L'`` inverting ``H'``,
+    ``g = G'``, ``L >= 0`` (when ``H(0) <= 0``), the perspective jointly
+    convex; one whose Legendre transform fails reports ``fail`` with the
+    message.  Last, ``m0`` and ``mT`` (at nodes ``x``) must exceed some ``k0 > 0``.
+    """
+    model_checks = {
+        "hamiltonian_strictly_convex": lambda: _strictly_convex(model.hamiltonian.eval, rng, "p"),
+        "lagrangian_inverts_slope": lambda: _inverts_slope(model, rng),
+        "lagrangian_growth": lambda: _superlinear(model.lagrangian.eval, "|w|", (1.0, -1.0)),
+        "lagrangian_nonnegative": lambda: _nonnegative_lagrangian(model, rng),
+        "perspective_jointly_convex": lambda: _jointly_convex_perspective(model, rng),
+        "strict_convexity_of_coupling": lambda: _strictly_convex(model.coupling.G, rng, "z", 0.0),
+        "coupling_slope_consistent": lambda: _consistent_coupling_slope(model.coupling, rng),
+        "coupling_growth": lambda: _superlinear(model.coupling.G, "z", (1.0,)),
+    }
+    checks = {}
+    for name, check in model_checks.items():
+        if model is None:
+            checks[name] = ("skip", "no model block in this mode")
+            continue
+        try:
+            checks[name] = check()
+        except RuntimeError as exc:  # the Legendre transform found no p with H'(p) = w
+            checks[name] = ("fail", str(exc))
+    checks["density_lower_bound"] = _density_lower_bound(m0, mT, x)
     return checks

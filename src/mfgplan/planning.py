@@ -329,11 +329,7 @@ def random_feasible_pair(
     for _ in range(2):
         noise = 0.25 * np.roll(noise, 1, axis=1) + 0.5 * noise + 0.25 * np.roll(noise, -1, axis=1)
         noise[1:-1] = 0.25 * noise[:-2] + 0.5 * noise[1:-1] + 0.25 * noise[2:]
-    noise[0] = 0.0
-    noise[-1] = 0.0
-    noise -= noise.mean(axis=1, keepdims=True)
-    noise[0] = 0.0
-    noise[-1] = 0.0
+    noise = project_tangent(g, noise)
     dy = dx_periodic(g, noise)
     scale = amplitude * spec.k0 / (np.max(np.abs(dy)) + 1e-300)
     q = 0.5 * rng.standard_normal(g.nt)

@@ -1,6 +1,7 @@
 """Config parsing, CSV round-trips, run dispatch, and exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +52,8 @@ def test_minimal_planning_config_defaults(tmp_path):
     assert isinstance(spec, PlanningSpec)
     assert spec.order == 0
     assert spec.model.hamiltonian.name == "quadratic"
-    assert spec.model.coupling.growth_gamma == 2.0
+    z = np.array([-1.5, 0.0, 2.0])
+    assert np.array_equal(spec.model.coupling.G(z), 0.5 * z * z)
     assert np.array_equal(spec.m0, np.ones(16))
 
 
@@ -184,6 +186,21 @@ def test_field_csv_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(ts, ts2)
     assert np.array_equal(xs, xs2)
     assert np.array_equal(field, field2)
+
+
+def test_field_csv_matches_per_value_format(tmp_path):
+    # one format string per row writes what one format() call per value wrote
+    specials = [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 1.0 / 3.0, 1e300]
+    field = np.array([specials, specials[::-1]])
+    ts, xs = np.array([0.0, 1.0 / 3.0]), np.linspace(0.0, 1.0, len(specials))
+    path = tmp_path / "field.csv"
+    write_field_csv(path, ts, xs, field)
+
+    def line(values):
+        return ",".join(format(float(v), ".17g") for v in values) + "\n"
+
+    expected = "t," + line(xs) + "".join(line([t, *row]) for t, row in zip(ts, field))
+    assert path.read_bytes() == expected.encode()
 
 
 def test_series_csv_roundtrip_bit_exact(tmp_path):
@@ -366,6 +383,30 @@ def test_validation_on_congestion_config_checks_densities(tmp_path):
     by_name = {e["name"]: e for e in report["assumptions"]}
     assert by_name["density_lower_bound"]["status"] == "pass"
     assert by_name["strict_convexity_of_coupling"]["status"] == "skip"
+
+
+ASSUMPTIONS = {
+    "hamiltonian_strictly_convex", "lagrangian_inverts_slope", "lagrangian_growth",
+    "lagrangian_nonnegative", "perspective_jointly_convex", "strict_convexity_of_coupling",
+    "coupling_slope_consistent", "coupling_growth", "density_lower_bound",
+}
+CONFIGS = sorted(
+    p.name for p in (Path(__file__).resolve().parents[1] / "configs").glob("*.yaml")
+    if p.name != "hughes_constant.yaml"
+)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_validate_every_shipped_config(tmp_path, name):
+    path = Path(__file__).resolve().parents[1] / "configs" / name
+    reports = []
+    for run_dir in ("a", "b"):
+        out = tmp_path / run_dir
+        assert main(["validate", str(path), "--out", str(out), "--quiet"]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    names = {entry["name"] for entry in json.loads(reports[0])["assumptions"]}
+    assert names == ASSUMPTIONS
 
 
 def test_validation_rejects_hughes_config(tmp_path):

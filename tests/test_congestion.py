@@ -247,18 +247,6 @@ def test_inner_phi_descends_below_interpolant():
     assert np.min(dx_periodic(spec.grid, phi_star) + 1.0) >= eps
 
 
-def test_inner_phi_warm_start_independence():
-    spec = sine_spec(alpha=0.5, mu=1.0)
-    g = spec.grid
-    eps = 0.01
-    pp0 = PotentialPair(initial_guess(spec.planning_view(floor=eps)).phi, np.zeros(g.nt))
-    rng = np.random.default_rng(9)
-    other = random_feasible_pair(spec.planning_view(floor=1e-6), rng, amplitude=0.2)
-    a = inner_phi_solve(spec, eps, pp0)
-    b = inner_phi_solve(spec, eps, pp0, x0=other.phi)
-    assert np.max(np.abs(a - b)) <= 1e-8
-
-
 def roll_regularizer(phi):
     """Reference sixth-difference normal operator by undivided shifts.
 

@@ -9,12 +9,12 @@ from mfgplan import model
 from mfgplan.model import (
     Hamiltonian,
     build_model,
+    check_assumptions,
     lagrangian_from_hamiltonian,
     power_coupling,
     power_hamiltonian,
     quadratic_coupling,
     quadratic_hamiltonian,
-    validate_model,
     zero_potential,
 )
 
@@ -51,7 +51,6 @@ def test_legendre_out_of_range_slope_reports_w():
         eval=lambda p: np.sqrt(1.0 + np.square(np.asarray(p, dtype=float))),
         derivative=lambda p: np.asarray(p, dtype=float)
         / np.sqrt(1.0 + np.square(np.asarray(p, dtype=float))),
-        beta=1.0,
     )
     with pytest.raises(RuntimeError, match="w=2"):
         lagrangian_from_hamiltonian(ham).eval(np.asarray(2.0))
@@ -60,7 +59,7 @@ def test_legendre_out_of_range_slope_reports_w():
 def test_legendre_involution_power():
     ham = power_hamiltonian(1.5)
     lag = lagrangian_from_hamiltonian(ham)
-    conj = Hamiltonian(eval=lag.eval, derivative=lag.derivative, beta=3.0)
+    conj = Hamiltonian(eval=lag.eval, derivative=lag.derivative)
     back = lagrangian_from_hamiltonian(conj)
     for p in (-2.0, -0.5, 0.0, 1.0, 2.5):
         value = float(back.eval(np.asarray(p)))
@@ -76,7 +75,7 @@ def test_lagrangian_inverts_slope():
 
 def _bisection_oracle(ham, w):
     """Reference root of H'(p) = w: bisection until lo and hi are neighbours."""
-    lo, hi = model._bracket_slope(ham, w)
+    lo, _, hi, _ = model._bracket_slope(ham, w)
     for _ in range(2000):
         mid = 0.5 * (lo + hi)
         if np.all((mid == lo) | (mid == hi)):
@@ -128,12 +127,10 @@ KINKED = Hamiltonian(  # H' has slope 1 for p < 0 and 10 for p > 0
 CUSPED = Hamiltonian(  # H = |p|^1.1 / 1.1: H' = sign(p) |p|^0.1, vertical at p = 0
     eval=lambda p: np.abs(p) ** 1.1 / 1.1,
     derivative=lambda p: np.sign(p) * np.abs(p) ** 0.1,
-    beta=1.1,
 )
 FLAT = Hamiltonian(  # H = p^6 / 6: H' = p^5, flat at p = 0
     eval=lambda p: np.asarray(p, dtype=float) ** 6 / 6.0,
     derivative=lambda p: np.asarray(p, dtype=float) ** 5,
-    beta=6.0,
 )
 
 
@@ -160,12 +157,15 @@ def test_invert_slope_guard_halves_the_bracket(ham, root, w):
 
     spy = Hamiltonian(eval=ham.eval, derivative=recorded)
     w = np.array([w])
-    model._bracket_slope(spy, w)
+    lo, _, hi, _ = model._bracket_slope(spy, w)
     searched = len(seen)
     p = model._invert_slope(spy, w)
     assert abs(p[0] - root(w[0])) <= 1e-13 * (1.0 + abs(p[0]))
-    # from the bracket ends on (evaluated again for the regula-falsi start)
-    pts = np.array(seen[2 * searched:])
+    # the regula-falsi start reuses H' at the bracket ends: no point is evaluated twice
+    assert seen[searched:2 * searched] == seen[:searched]
+    steps = seen[2 * searched:]
+    assert len(set(seen[:searched] + steps)) == searched + len(steps)
+    pts = np.array([lo[0], hi[0], *steps])
     f = ham.derivative(pts) - w[0]
     width = np.array([
         np.min(pts[:j][f[:j] >= 0]) - np.max(pts[:j][f[:j] <= 0])
@@ -250,15 +250,26 @@ def test_builtin_parameter_validation():
         power_coupling(0.9)
 
 
-def test_validate_model_default_all_green():
-    model = build_model()
-    checks = validate_model(model, np.random.default_rng(3))
-    assert checks, "expected a non-empty check table"
-    for name, (ok, detail) in checks.items():
-        assert ok, f"{name}: {detail}"
+UNIFORM = np.ones(16)
+NODES = np.arange(16) / 16.0
 
 
-def test_validate_model_reports_bad_coupling():
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "mfg", [build_model(), build_model(power_hamiltonian(1.5), power_coupling(2.5))],
+    ids=["default", "power"],
+)
+def test_check_assumptions_all_green(mfg):
+    # a power coupling is sampled at densities z >= 0 only, where it is defined
+    checks = check_assumptions(mfg, UNIFORM, UNIFORM, NODES, np.random.default_rng(3))
+    assert len(checks) == 9
+    # H(0) = 1 for the power Hamiltonian, so L >= 0 does not hold there
+    skipped = {"lagrangian_nonnegative"} if mfg.hamiltonian.eval(0.0) > 0 else set()
+    for name, (status, detail) in checks.items():
+        assert status == ("skip" if name in skipped else "pass"), f"{name}: {detail}"
+
+
+def test_check_assumptions_reports_bad_coupling():
     from mfgplan.model import Coupling, MFGModel
 
     broken = Coupling(G=lambda z: 0.5 * np.square(z), g=lambda z: 2.0 * z)
@@ -270,9 +281,9 @@ def test_validate_model_reports_bad_coupling():
         coupling=broken,
         potential=zero_potential(),
     )
-    checks = validate_model(model, np.random.default_rng(5))
-    ok, _ = checks["coupling_slope_consistent"]
-    assert not ok
+    checks = check_assumptions(model, UNIFORM, UNIFORM, NODES, np.random.default_rng(5))
+    status, _ = checks["coupling_slope_consistent"]
+    assert status == "fail"
 
 
 def test_power_coupling_slopes():
