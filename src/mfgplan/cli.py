@@ -107,6 +107,8 @@ def _number(value, path: str, lo=None, hi=None, lo_open=False, hi_open=False) ->
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"schema violation at {path}: expected a number, got {value!r}")
     v = float(value)
+    if not np.isfinite(v):
+        raise ConfigError(f"range violation at {path}: {v:g} is not a finite number")
     if lo is not None and (v <= lo if lo_open else v < lo):
         bracket = "(" if lo_open else "["
         raise ConfigError(f"range violation at {path}: {v:g} outside {bracket}{lo:g}, ...")

@@ -25,6 +25,9 @@ padded by the transport radius ``t * max |H'|`` so the true minimizer stays
 strictly inside the search bracket, which is checked at runtime.  A coarse
 lattice argmin is then sharpened by golden-section iteration, so values at
 smooth points are exact to solver precision rather than lattice precision.
+One routine does this for a whole time row: each point's lattice is a row
+of one 2-D array and the golden steps advance all brackets together; a
+point query is that routine on one point, so it equals the window solve.
 """
 
 from __future__ import annotations
@@ -57,12 +60,10 @@ class LinearSpeed:
         return 1.0 - np.asarray(rho, dtype=float)
 
     def lagrangian_min(self, w):
-        w = np.asarray(w, dtype=float)
-        return (w + 1.0) ** 2 / 4.0
+        return (np.asarray(w, dtype=float) + 1.0) ** 2 / 4.0
 
     def lagrangian_max(self, w):
-        w = np.asarray(w, dtype=float)
-        return -((1.0 - w) ** 2) / 4.0
+        return -((1.0 - np.asarray(w, dtype=float)) ** 2) / 4.0
 
     def check_density(self, rho0: np.ndarray) -> None:
         if np.min(rho0) < 0.0 or np.max(rho0) > 1.0:
@@ -106,24 +107,18 @@ class CongestionSpeed:
         c, b = self.scale, self.beta
         out = np.full(w.shape, np.inf)
         neg = w < 0.0
-        pstar = (c * (1.0 - b) / (-w[neg])) ** (1.0 / b)
-        out[neg] = pstar * w[neg] + c * pstar ** (1.0 - b)
+        wn = w[neg]
+        pstar = (c * (1.0 - b) / (-wn)) ** (1.0 / b)
+        out[neg] = pstar * wn + c * pstar ** (1.0 - b)
         return out if out.ndim else float(out)
 
     def lagrangian_max(self, w):
-        w = np.asarray(w, dtype=float)
-        c, b = self.scale, self.beta
-        out = np.full(w.shape, -np.inf)
-        pos = w > 0.0
-        pstar = (c * (1.0 - b) / w[pos]) ** (1.0 / b)
-        out[pos] = pstar * w[pos] - c * pstar ** (1.0 - b)
-        return out if out.ndim else float(out)
+        # the mirror image, bit for bit: negation is exact
+        return -self.lagrangian_min(-np.asarray(w, dtype=float))
 
     def check_density(self, rho0: np.ndarray) -> None:
         if np.min(rho0) <= 0.0:
-            raise ValueError(
-                "densities must be strictly positive for the congestion speed law"
-            )
+            raise ValueError("densities must be strictly positive for the congestion speed law")
 
     def transport_bound(self, rho_lo: float, rho_hi: float) -> float:
         # |H'(p)| = c (1 - beta) p^(-beta), largest at the smallest density
@@ -147,6 +142,9 @@ class HughesSpec:
         rho0 = np.asarray(self.rho0, dtype=float)
         if rho0.ndim != 1 or rho0.size < 3:
             raise ValueError("rho0 must be a 1-D sample with at least 3 nodes")
+        if not np.all(np.isfinite(rho0)):
+            i = int(np.argmin(np.isfinite(rho0)))
+            raise ValueError(f"initial density must be finite, got rho0[{i}]={rho0[i]}")
         if np.min(rho0) < 0.0:
             raise ValueError("initial density must be nonnegative")
         self.speed.check_density(rho0)
@@ -203,75 +201,88 @@ def cumulative_potential(spec: HughesSpec) -> np.ndarray:
     return out
 
 
-def _phi0_eval(spec: HughesSpec, phi0: np.ndarray, y) -> np.ndarray:
-    """Initial potential at arbitrary points, edge-value density outside."""
-    y = np.asarray(y, dtype=float)
-    xs = spec.xs
-    base = np.interp(y, xs, phi0)
-    low = y < xs[0]
-    high = y > xs[-1]
-    if np.any(low):
-        base = np.where(low, phi0[0] + spec.rho0[0] * (y - xs[0]), base)
-    if np.any(high):
-        base = np.where(high, phi0[-1] + spec.rho0[-1] * (y - xs[-1]), base)
-    return base
+def _envelope(spec: HughesSpec, phi0: np.ndarray, t: float, xs: np.ndarray):
+    """Envelope values and optimizers at the points ``xs`` for one time ``t > 0``.
 
+    Row i holds x_i's lattice ``np.arange(lo_i, hi_i + dx/2, dx)``, built
+    with arange's own node formula and padded with +inf; one argmin per row,
+    then 70 golden-section steps on all brackets at once.
+    """
+    dx = spec.dx
+    radius = t * spec.speed.transport_bound(float(np.min(spec.rho0)),
+                                            float(np.max(spec.rho0))) + 4.0 * dx
+    lo = np.minimum(spec.x_min, xs - radius)
+    hi = np.maximum(spec.x_max, xs + radius)
+    count = np.ceil((hi + 0.5 * dx - lo) / dx).astype(int)
+    step = (lo + dx) - lo
+    # phi0 with its edge extension; the far nodes' distance does not depend on xs
+    far = max(hi.max(), spec.x_max + radius) - min(lo.min(), spec.x_min - radius)
+    nodes = np.concatenate(([spec.x_min - far], spec.xs, [spec.x_max + far]))
+    table = np.concatenate(([phi0[0] - spec.rho0[0] * far], phi0,
+                            [phi0[-1] + spec.rho0[-1] * far]))
+    increasing = spec.branch == "increasing"
+    sign = 1.0 if increasing else -1.0
+    lag = spec.speed.lagrangian_min if increasing else spec.speed.lagrangian_max
+    no_worse = np.less_equal if increasing else np.greater_equal
 
-def _golden(fun, a: float, b: float, iters: int = 70) -> float:
+    def objective(x, y):
+        return t * lag((x - y) / t) + np.interp(y, nodes, table)
+
+    # lattice argmins in blocks of about 16k entries: bounded temporaries at any nx
+    j = np.empty(xs.size, dtype=int)
+    block = max(1, (1 << 14) // int(count.max()))
+    for rows in (slice(r, r + block) for r in range(0, xs.size, block)):
+        ks = np.arange(count[rows].max(), dtype=float)
+        values = sign * objective(xs[rows, None], lo[rows, None] + ks * step[rows, None])
+        values[ks >= count[rows, None]] = np.inf
+        j[rows] = np.argmin(values, axis=1)
+    bad = (j == 0) | (j == count - 1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"window too small: envelope optimizer for (t={t:.6g}, x={xs[i]:.6g}) "
+            f"sits on the search boundary y={lo[i] + j[i] * step[i]:.6g}")
+
+    # golden state: points (a, c, d, b) over values (-, f(c), f(d), -)
+    state = np.zeros((2, 4, xs.size))
+    a, b, fc, fd = state[0, 0], state[0, 3], state[1, 1], state[1, 2]
+    a[:], b[:] = lo + (j - 1) * step, lo + (j + 1) * step
     ratio = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+    state[0, 1] = b - ratio * (b - a)
+    state[0, 2] = a + ratio * (b - a)
+    state[1, 1:3] = objective(xs, state[0, 1:3])
+    # views made once: on one point each costs as much as a ufunc call
+    inner, cd_to_db, cd_to_ac, c_slot, d_slot = (
+        state[:, 1:3], state[:, 2:], state[:, :2], state[:, 1], state[:, 2])
+    probe = np.empty((2, xs.size))  # new point over its value
+    y = probe[0]
+    for _ in range(70):
+        # f(c) no worse than f(d) keeps [a, d] and probes a new c, else [c, b] and a new d
+        left = no_worse(fc, fd)
+        right = ~left
+        np.copyto(cd_to_db, inner, where=left)
+        np.copyto(cd_to_ac, inner, where=right)
+        span = ratio * (b - a)
+        np.add(a, span, out=y)
+        np.copyto(y, b - span, where=left)
+        probe[1] = objective(xs, y)
+        np.copyto(c_slot, probe, where=left)
+        np.copyto(d_slot, probe, where=right)
+    ystar = 0.5 * (a + b)
+    return objective(xs, ystar), ystar
 
 
 def hopf_lax(spec: HughesSpec, t: float, x: float) -> tuple[float, float]:
     """Envelope value and its optimizer for one space-time point.
 
-    Minimization (increasing branch) or maximization (decreasing branch)
-    over a lattice covering the window plus the transport radius, followed
-    by golden-section sharpening between the flanking lattice nodes.
-
-    Raises
-    ------
-    ValueError
-        For ``t <= 0``, or when the optimizer lands on the edge of the
-        search bracket ("window too small").
+    The row evaluation of ``solve_hughes`` on the single point ``x``, so
+    both give the same values.  Raises ``ValueError`` for ``t <= 0`` or when the
+    optimizer lands on the search bracket's edge ("window too small").
     """
     if t <= 0.0:
         raise ValueError(f"positive time required, got t={t}")
-    phi0 = cumulative_potential(spec)
-    rho_lo = float(np.min(spec.rho0))
-    rho_hi = float(np.max(spec.rho0))
-    radius = t * spec.speed.transport_bound(rho_lo, rho_hi) + 4.0 * spec.dx
-    lo = min(spec.x_min, x - radius)
-    hi = max(spec.x_max, x + radius)
-    ys = np.arange(lo, hi + 0.5 * spec.dx, spec.dx)
-
-    sign = 1.0 if spec.branch == "increasing" else -1.0
-    lag = spec.speed.lagrangian_min if spec.branch == "increasing" else spec.speed.lagrangian_max
-
-    def objective(y):
-        return sign * (t * lag((x - y) / t) + _phi0_eval(spec, phi0, y))
-
-    values = objective(ys)
-    j = int(np.argmin(values))
-    if j == 0 or j == ys.size - 1:
-        raise ValueError(
-            f"window too small: envelope optimizer for (t={t:.6g}, x={x:.6g}) "
-            f"sits on the search boundary y={ys[j]:.6g}"
-        )
-    ystar = _golden(lambda y: float(objective(y)), float(ys[j - 1]), float(ys[j + 1]))
-    return sign * float(objective(ystar)), ystar
+    value, ystar = _envelope(spec, cumulative_potential(spec), t, np.array([float(x)]))
+    return float(value[0]), float(ystar[0])
 
 
 def solve_hughes(spec: HughesSpec) -> HughesSolution:
@@ -285,15 +296,10 @@ def solve_hughes(spec: HughesSpec) -> HughesSolution:
     """
     xs = spec.xs
     nt = len(spec.times)
-    phi = np.empty((nt, xs.size))
-    ystar = np.empty((nt, xs.size))
+    phi0 = cumulative_potential(spec)
+    phi, ystar = np.empty((nt, xs.size)), np.empty((nt, xs.size))
     for i, t in enumerate(spec.times):
-        if t == 0.0:
-            phi[i] = cumulative_potential(spec)
-            ystar[i] = xs
-            continue
-        for j, x in enumerate(xs):
-            phi[i, j], ystar[i, j] = hopf_lax(spec, t, x)
+        phi[i], ystar[i] = (phi0, xs) if t == 0.0 else _envelope(spec, phi0, t, xs)
 
     rho = np.gradient(phi, xs, axis=1)
     if nt >= 2:
@@ -301,11 +307,5 @@ def solve_hughes(spec: HughesSpec) -> HughesSolution:
         residual = np.abs(phi_t) - np.abs(rho * spec.speed.f(np.maximum(rho, 1e-300)))
     else:
         residual = np.zeros_like(phi)
-    return HughesSolution(
-        times=spec.times,
-        xs=xs,
-        phi=phi,
-        rho=rho,
-        ystar=ystar,
-        eikonal_residual=residual,
-    )
+    return HughesSolution(times=spec.times, xs=xs, phi=phi, rho=rho, ystar=ystar,
+                          eikonal_residual=residual)

@@ -148,6 +148,31 @@ def test_hughes_branch_mismatch_is_range_violation(tmp_path):
         parse_config(write_config(tmp_path, doc))
 
 
+def test_hughes_nan_density_sample_rejected(tmp_path):
+    doc = {
+        "schema_version": 1,
+        "mode": "hughes",
+        "output_dir": str(tmp_path / "out"),
+        "hughes": {
+            "x_min": -1.0, "x_max": 1.0, "nx": 5, "times": [0.0, 0.5],
+            "rho0": {"type": "samples", "values": [0.2, 0.3, float("nan"), 0.5, 0.6]},
+        },
+    }
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match=r"range violation in hughes: .*rho0\[2\]"):
+        parse_config(path)
+    assert main(["solve", str(path), "--quiet"]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_nonfinite_number_is_range_violation(tmp_path, value):
+    doc = planning_doc()
+    doc["planning"]["tol"] = value
+    with pytest.raises(ConfigError, match="range violation at planning.tol: .* not a finite"):
+        parse_config(write_config(tmp_path, doc))
+
+
 def test_congestion_schedule_must_be_list(tmp_path):
     doc = {
         "schema_version": 1,

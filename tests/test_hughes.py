@@ -1,5 +1,8 @@
 """Envelope-formula solver: validation, closed forms, symmetry, refinement."""
 
+import re
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,20 @@ def ramp_instance(nx, nt):
     rho0 = 0.25 + 0.2 * (1.0 + np.tanh(1.5 * xs)) / 2.0
     return HughesSpec(x_min=-3.0, x_max=3.0, rho0=rho0,
                       times=tuple(np.linspace(0.2, 0.6, nt)), branch="increasing")
+
+
+WINDOW_TIMES = (0.0, 0.2, 0.4, 0.6, 0.8)
+
+
+def window_instance(nx, law):
+    """Tanh ramps on [-3, 3]: linear speed rising, congestion speed (beta .25) falling."""
+    xs = np.linspace(-3.0, 3.0, nx)
+    ramp = (1.0 + np.tanh(2.0 * xs)) / 2.0
+    if law == "linear":
+        return HughesSpec(x_min=-3.0, x_max=3.0, rho0=0.15 + 0.55 * ramp,
+                          times=WINDOW_TIMES, branch="increasing")
+    return HughesSpec(x_min=-3.0, x_max=3.0, rho0=0.75 - 0.5 * ramp, times=WINDOW_TIMES,
+                      branch="decreasing", speed=CongestionSpeed(beta=0.25))
 
 
 class UnderestimatingLaw:
@@ -54,6 +71,13 @@ def test_window_must_have_width():
 def test_negative_density_rejected():
     rho0 = np.array([0.1, -0.2, 0.3, 0.4, 0.5])
     with pytest.raises(ValueError, match="nonnegative"):
+        HughesSpec(x_min=0.0, x_max=1.0, rho0=rho0, times=(0.5,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_density_rejected(bad):
+    rho0 = np.array([0.1, 0.2, 0.3, bad, bad])
+    with pytest.raises(ValueError, match=r"finite, got rho0\[3\]"):
         HughesSpec(x_min=0.0, x_max=1.0, rho0=rho0, times=(0.5,))
 
 
@@ -185,6 +209,24 @@ def test_search_boundary_guard():
         hopf_lax(spec, 5.0, 0.0)
 
 
+def test_solve_guard_names_first_failing_x():
+    # the optimizer x + 0.8 t leaves the lattice, which the lied-about radius
+    # stretches only 4 dx past the window, near x_max but not near x_min
+    t = 0.65
+    spec = HughesSpec(x_min=-0.5, x_max=0.5, rho0=np.full(11, 0.1),
+                      times=(0.0, t), speed=UnderestimatingLaw())
+    failing = []
+    for x in spec.xs:
+        try:
+            hopf_lax(spec, t, x)
+        except ValueError:
+            failing.append(x)
+    assert failing and failing[0] > spec.xs[0]
+    with pytest.raises(ValueError, match=re.escape(
+            f"window too small: envelope optimizer for (t={t:.6g}, x={failing[0]:.6g})")):
+        solve_hughes(spec)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     c=st.floats(0.1, 0.7),
@@ -307,6 +349,30 @@ def test_congestion_decreasing_solve():
     assert np.max(sol.rho) <= 0.8 + 1e-6
     # measured 9.3e-3 at this resolution
     assert np.max(np.abs(sol.eikonal_residual)) <= 0.05
+
+
+@pytest.mark.parametrize("law", ["linear", "congestion"])
+def test_point_query_matches_row_solve(law):
+    spec = window_instance(241, law)
+    sol = solve_hughes(spec)
+    for i, t in enumerate(spec.times[1:], start=1):
+        for j, x in enumerate(spec.xs):
+            value, ystar = hopf_lax(spec, t, x)
+            assert abs(value - sol.phi[i, j]) <= 1e-14
+            assert abs(ystar - sol.ystar[i, j]) <= 1e-14
+
+
+@pytest.mark.parametrize("law", ["linear", "congestion"])
+def test_window_solve_nx641_rung(law):
+    spec = window_instance(641, law)
+    started = time.perf_counter()
+    sol = solve_hughes(spec)
+    took = time.perf_counter() - started
+    lo, hi = float(np.min(spec.rho0)), float(np.max(spec.rho0))
+    assert np.min(sol.rho) >= lo - 10.0 * spec.dx
+    assert np.max(sol.rho) <= hi + 10.0 * spec.dx
+    # measured 0.1-0.2 s on a 2-core x86_64 host; the scalar per-point loop took 6-10 s
+    assert took < 3.0
 
 
 def test_potential_rows_monotone_in_x():
