@@ -165,12 +165,12 @@ def _density_from(entry, grid: Grid, path: str) -> np.ndarray:
     if kind == "samples":
         _reject_unknown(block, {"type", "values"}, path)
         values = _require(block, "values", path)
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != (grid.nx,):
+        if not isinstance(values, list) or len(values) != grid.nx:
+            got = f"{len(values)} values" if isinstance(values, list) else repr(values)
             raise ConfigError(
-                f"schema violation at {path}.values: expected {grid.nx} samples, got {arr.shape}"
+                f"schema violation at {path}.values: expected {grid.nx} samples, got {got}"
             )
-        return arr
+        return np.array([_number(v, f"{path}.values[{i}]") for i, v in enumerate(values)])
     raise ConfigError(f"schema violation at {path}.type: unknown density type {kind!r}")
 
 
@@ -190,6 +190,15 @@ _PLANNING_KEYS = {
 }
 
 
+def _typed_entry(entry, path: str, kind: str, keys: set[str], expected: str) -> dict:
+    """The mapping form of a model or speed entry: ``type: kind`` and optional ``keys``."""
+    block = _as_block(entry, path)
+    _reject_unknown(block, {"type", *keys}, path)
+    if _require(block, "type", path) != kind:
+        raise ConfigError(f"schema violation at {path}.type: expected {expected}")
+    return block
+
+
 def _target_from(block: dict, grid: Grid, path: str) -> ValidationTarget:
     """Parse the keys planning and validate blocks share; reject unknown ones."""
     block = _as_block(block, path)
@@ -199,12 +208,8 @@ def _target_from(block: dict, grid: Grid, path: str) -> ValidationTarget:
     if ham_entry == "quadratic":
         ham = quadratic_hamiltonian()
     else:
-        hb = _as_block(ham_entry, f"{path}.hamiltonian")
-        _reject_unknown(hb, {"type", "alpha"}, f"{path}.hamiltonian")
-        if _require(hb, "type", f"{path}.hamiltonian") != "power":
-            raise ConfigError(
-                f"schema violation at {path}.hamiltonian.type: expected quadratic or power"
-            )
+        hb = _typed_entry(ham_entry, f"{path}.hamiltonian", "power", {"alpha"},
+                          "quadratic or power")
         alpha = _number(hb.get("alpha", 2.0), f"{path}.hamiltonian.alpha", lo=1.0, lo_open=True)
         ham = power_hamiltonian(alpha)
 
@@ -219,12 +224,8 @@ def _target_from(block: dict, grid: Grid, path: str) -> ValidationTarget:
             g=lambda z: np.ones_like(np.asarray(z, dtype=float)),
         )
     else:
-        cb = _as_block(coup_entry, f"{path}.coupling")
-        _reject_unknown(cb, {"type", "gamma"}, f"{path}.coupling")
-        if _require(cb, "type", f"{path}.coupling") != "power":
-            raise ConfigError(
-                f"schema violation at {path}.coupling.type: expected quadratic, linear, or power"
-            )
+        cb = _typed_entry(coup_entry, f"{path}.coupling", "power", {"gamma"},
+                          "quadratic, linear, or power")
         gamma = _number(cb.get("gamma", 2.0), f"{path}.coupling.gamma", lo=1.0, lo_open=True)
         coup = power_coupling(gamma)
 
@@ -232,12 +233,8 @@ def _target_from(block: dict, grid: Grid, path: str) -> ValidationTarget:
     if pot_entry == "zero":
         pot = zero_potential()
     else:
-        pb = _as_block(pot_entry, f"{path}.potential")
-        _reject_unknown(pb, {"type", "amplitude", "frequency"}, f"{path}.potential")
-        if _require(pb, "type", f"{path}.potential") != "cosine":
-            raise ConfigError(
-                f"schema violation at {path}.potential.type: expected zero or cosine"
-            )
+        pb = _typed_entry(pot_entry, f"{path}.potential", "cosine", {"amplitude", "frequency"},
+                          "zero or cosine")
         amp = _number(pb.get("amplitude", 1.0), f"{path}.potential.amplitude")
         freq = _integer(pb.get("frequency", 1), f"{path}.potential.frequency", lo=1)
         pot = cosine_potential(amplitude=amp, frequency=freq)
@@ -350,12 +347,8 @@ def _hughes_from(block: dict, path: str) -> HughesSpec:
     if speed_entry == "linear":
         speed = LinearSpeed()
     else:
-        sb = _as_block(speed_entry, f"{path}.speed")
-        _reject_unknown(sb, {"type", "k1", "k2", "beta"}, f"{path}.speed")
-        if _require(sb, "type", f"{path}.speed") != "congestion":
-            raise ConfigError(
-                f"schema violation at {path}.speed.type: expected linear or congestion"
-            )
+        sb = _typed_entry(speed_entry, f"{path}.speed", "congestion", {"k1", "k2", "beta"},
+                          "linear or congestion")
         try:
             speed = CongestionSpeed(
                 k1=_number(sb.get("k1", 1.0), f"{path}.speed.k1", lo=0.0, lo_open=True),
@@ -483,6 +476,12 @@ def _jsonable(obj):
     return obj
 
 
+def _write_report(path, summary: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(_jsonable(summary), fh, indent=2)
+        fh.write("\n")
+
+
 def _write_diagnostics(path, header: str, rows) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -509,15 +508,11 @@ def run_validation(config: RunConfig, quiet: bool = False) -> int:
             print(f"{status.upper():4s} {name}: {detail}")
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    with open(config.output_dir / "report.json", "w") as fh:
-        json.dump(_jsonable({
-            "mode": "validate",
-            "seed": config.seed,
-            "assumptions": [
-                {"name": n, "status": s, "detail": d} for n, (s, d) in checks.items()
-            ],
-        }), fh, indent=2)
-        fh.write("\n")
+    _write_report(config.output_dir / "report.json", {
+        "mode": "validate",
+        "seed": config.seed,
+        "assumptions": [{"name": n, "status": s, "detail": d} for n, (s, d) in checks.items()],
+    })
     return 0 if all(s != "fail" for s, _ in checks.values()) else 2
 
 
@@ -552,9 +547,7 @@ def _run_planning(config: RunConfig, out: Path, quiet: bool) -> int:
         "objective_trace": report.objective_trace,
         "diagnostics": report.diagnostics,
     }
-    with open(out / "report.json", "w") as fh:
-        json.dump(_jsonable(summary), fh, indent=2)
-        fh.write("\n")
+    _write_report(out / "report.json", summary)
     if not quiet:
         state = "converged" if report.converged else "NOT converged"
         print(f"planning: {state} in {report.iterations} iterations, "
@@ -585,9 +578,7 @@ def _run_congestion(config: RunConfig, out: Path, quiet: bool) -> int:
         "wall_time": wall,
         "diagnostics": report.diagnostics,
     }
-    with open(out / "report.json", "w") as fh:
-        json.dump(_jsonable(summary), fh, indent=2)
-        fh.write("\n")
+    _write_report(out / "report.json", summary)
     if not quiet:
         state = "converged" if report.converged else "NOT converged"
         print(f"congestion: {state} after {report.iterations} sweeps, "
@@ -617,9 +608,7 @@ def _run_hughes(config: RunConfig, out: Path, quiet: bool) -> int:
         "density_range": [float(np.min(sol.rho)), float(np.max(sol.rho))],
         "wall_time": wall,
     }
-    with open(out / "report.json", "w") as fh:
-        json.dump(_jsonable(summary), fh, indent=2)
-        fh.write("\n")
+    _write_report(out / "report.json", summary)
     if not quiet:
         print(f"hughes: evaluated {len(sol.times)} time slices, "
               f"eikonal sup {summary['eikonal_sup']:.3e}")
@@ -670,10 +659,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return run_validation(config, quiet=args.quiet)
         return run(config, quiet=args.quiet)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
+    except (ConfigError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -317,8 +317,12 @@ def inner_phi_solve(spec: CongestionSpec, eps: float, pp0: PotentialPair) -> Fie
     larger objective than the time-linear interpolant of the boundary
     slices (which is the fallback candidate).
     """
+    return _phi_solve(spec, eps, apply_F(spec, pp0, eps=eps).f1)
+
+
+def _phi_solve(spec: CongestionSpec, eps: float, f1: Field) -> Field:
+    """:func:`inner_phi_solve` given the frozen image ``F1(pp0)``."""
     g = spec.grid
-    f1 = apply_F(spec, pp0, eps=eps).f1
     pview = spec.planning_view(floor=eps)
     lift = _lift(spec)
     interp = initial_guess(pview).phi
@@ -351,8 +355,11 @@ def _q_system(spec: CongestionSpec, eps: float) -> tuple[np.ndarray, np.ndarray]
 
 def inner_q_solve(spec: CongestionSpec, eps: float, pp0: PotentialPair) -> TimeSeries:
     """Solve eps (q - q'') = -F2(pp0) with natural (Neumann) ends."""
-    g = spec.grid
-    f2 = apply_F(spec, pp0, eps=eps).f2
+    return _q_solve(spec, eps, apply_F(spec, pp0, eps=eps).f2)
+
+
+def _q_solve(spec: CongestionSpec, eps: float, f2: TimeSeries) -> TimeSeries:
+    """:func:`inner_q_solve` given the frozen image ``F2(pp0)``."""
     ab, wt = _q_system(spec, eps)
     rhs = -wt * f2
     q = solveh_banded(ab, rhs, lower=True)
@@ -374,8 +381,9 @@ def _tridiag_apply(ab: np.ndarray, q: TimeSeries) -> TimeSeries:
 
 
 def _sweep_residual(spec: CongestionSpec, eps: float, pp: PotentialPair) -> float:
-    """Sup-norm distance of ``pp`` from its inner-solver sweep ``S(pp)``."""
-    phi, q = inner_phi_solve(spec, eps, pp), inner_q_solve(spec, eps, pp)
+    """Sup-norm distance of ``pp`` from its inner-solver sweep ``S(pp)`` (one ``apply_F``)."""
+    img = apply_F(spec, pp, eps=eps)
+    phi, q = _phi_solve(spec, eps, img.f1), _q_solve(spec, eps, img.f2)
     return max(float(np.max(np.abs(phi - pp.phi))), float(np.max(np.abs(q - pp.q))))
 
 

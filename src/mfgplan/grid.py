@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import zpbtrf, zpbtrs
 
 __all__ = [
     "Grid",
@@ -259,9 +259,10 @@ class ModeBanded:
 
     ``bands[d, i, k] = A_k[i + d, i]`` (scipy's lower banded storage, shape
     ``(bandwidth + 1, nt, nx // 2 + 1)``) is the t-matrix acting on mode ``k``
-    of the real FFT along x.  :meth:`solve` inverts on the tangent space of
+    of the real FFT along x.  :meth:`factor` inverts on the tangent space of
     :func:`mfgplan.planning.project_tangent`, which drops mode 0 and the end
-    rows and leaves the interior of each ``A_k`` (one banded Cholesky each).
+    rows and leaves the interior of each ``A_k`` (one banded Cholesky each,
+    computed once and reused by every solve).
     """
 
     grid: Grid
@@ -277,10 +278,29 @@ class ModeBanded:
             out[:-d] += b * coef[d:]
         return np.fft.irfft(out, n=self.grid.nx, axis=1)
 
+    def factor(self):
+        """Factor each mode once (LAPACK ``zpbtrf``); return the solve ``rhs -> u``.
+
+        ``u = P u`` solves ``P A u = P rhs`` (``P`` the tangent projection) by
+        ``zpbtrs`` per mode: the halves of LAPACK's banded ``zpbsv``, bit for bit.
+        Raises ``np.linalg.LinAlgError`` for a block that is not positive definite.
+        """
+        factors = []
+        for k in range(1, self.bands.shape[2]):
+            chol, info = zpbtrf(self.bands[:, 1:-1, k].astype(complex), lower=1)
+            if info > 0:
+                raise np.linalg.LinAlgError(f"mode {k}: leading minor {info} not positive definite")
+            factors.append(chol)
+
+        def solve(rhs: Field) -> Field:
+            coef = np.fft.rfft(_as_field(self.grid, rhs), axis=1)
+            out = np.zeros_like(coef)
+            for k, chol in enumerate(factors, start=1):
+                out[1:-1, k] = zpbtrs(chol, coef[1:-1, k], lower=1)[0]
+            return np.fft.irfft(out, n=self.grid.nx, axis=1)
+
+        return solve
+
     def solve(self, rhs: Field) -> Field:
-        """Solution ``u = P u`` of ``P A u = P rhs``; ``P`` is the tangent projection."""
-        coef = np.fft.rfft(_as_field(self.grid, rhs), axis=1)
-        out = np.zeros_like(coef)
-        for k in range(1, coef.shape[1]):
-            out[1:-1, k] = solveh_banded(self.bands[:, 1:-1, k], coef[1:-1, k], lower=True)
-        return np.fft.irfft(out, n=self.grid.nx, axis=1)
+        """``self.factor()(rhs)``: one solve with a fresh factorization."""
+        return self.factor()(rhs)

@@ -106,31 +106,22 @@ def _bracket_slope(ham: Hamiltonian, w: np.ndarray) -> tuple[np.ndarray, ...]:
 
     Returns ``(lo, H'(lo), hi, H'(hi))``.
     """
-    lo = np.full(w.shape, -1.0)
-    hi = np.full(w.shape, 1.0)
-    for _ in range(64):
-        fhi = ham.derivative(hi)
-        need = fhi < w
-        if not need.any():
-            break
-        hi = np.where(need, 2.0 * hi, hi)
-    else:
-        bad = float(np.asarray(w)[ham.derivative(hi) < w].flat[0])
-        raise RuntimeError(
-            f"Legendre transform failed: slope w={bad:.6g} exceeds the range of H'"
-        )
-    for _ in range(64):
-        flo = ham.derivative(lo)
-        need = flo > w
-        if not need.any():
-            break
-        lo = np.where(need, 2.0 * lo, lo)
-    else:
-        bad = float(np.asarray(w)[ham.derivative(lo) > w].flat[0])
-        raise RuntimeError(
-            f"Legendre transform failed: slope w={bad:.6g} below the range of H'"
-        )
-    return lo, flo, hi, fhi
+    ends = []
+    for start, short, side in ((1.0, np.less, "exceeds"), (-1.0, np.greater, "below")):
+        end = np.full(w.shape, start)
+        for _ in range(64):
+            fend = ham.derivative(end)
+            need = short(fend, w)
+            if not need.any():
+                break
+            end = np.where(need, 2.0 * end, end)
+        else:
+            bad = float(np.asarray(w)[short(ham.derivative(end), w)].flat[0])
+            raise RuntimeError(
+                f"Legendre transform failed: slope w={bad:.6g} {side} the range of H'"
+            )
+        ends = [end, fend] + ends
+    return tuple(ends)
 
 
 def _invert_slope(ham: Hamiltonian, w: np.ndarray) -> np.ndarray:
@@ -213,11 +204,7 @@ class PerspectiveL0:
         y = np.asarray(y, dtype=float)
         if np.any(y < 0):
             raise ValueError("perspective requires y >= 0")
-        z, y = np.broadcast_arrays(z, y)
-        pos = y > 0
-        safe = np.where(pos, y, 1.0)
-        vals = np.where(pos, y * self.lagrangian.eval(z / safe), 0.0)
-        out = np.where(pos, vals, np.where(z == 0.0, 0.0, np.inf))
+        out = self._value_and_partials(*np.broadcast_arrays(z, y))[0]
         return float(out) if out.ndim == 0 else out
 
     def partials(self, z, y):
@@ -229,8 +216,21 @@ class PerspectiveL0:
         y = np.asarray(y, dtype=float)
         if np.any(y <= 0):
             raise ValueError("perspective partials require y > 0")
-        p = self.lagrangian.derivative(z / y)
-        return p, -self.hamiltonian.eval(p)
+        return self._value_and_partials(*np.broadcast_arrays(z, y))[1:]
+
+    def _value_and_partials(self, z, y):
+        """``(y L(z/y), p, -H(p))`` at ``y >= 0`` from one slope inversion ``p = L'(z/y)``.
+
+        ``L(w) = p w - H(p)`` (the quadratic model keeps ``w^2 / 2``); nodes with
+        ``y = 0`` take the boundary value and carry ``p`` at ``w = z``.
+        """
+        pos = y > 0
+        w = z / np.where(pos, y, 1.0)
+        p = self.lagrangian.derivative(w)
+        minus_h = -self.hamiltonian.eval(p)
+        lw = self.lagrangian.eval(w) if self.hamiltonian.name == "quadratic" else p * w + minus_h
+        vals = np.where(pos, y * lw, 0.0)
+        return np.where(pos, vals, np.where(z == 0.0, 0.0, np.inf)), p, minus_h
 
 
 # --- built-in model library -------------------------------------------------

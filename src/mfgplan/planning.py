@@ -18,11 +18,12 @@ stationarity in q, so the optimizer's termination test doubles as the
 stationarity certificate.  The minimizer is projected gradient descent with
 monotone Armijo backtracking, run in a fixed elliptic metric: descent
 directions come from inverting the constant-coefficient part of the Hessian
-at the uniform state (a banded Cholesky solve in time per x-mode), which
-keeps the iteration count essentially grid-independent where a raw gradient
-loop stalls on the stiff fine grids.  Every accepted iterate is feasible
-(pinned rows exact, slice means zero, density at or above the configured
-floor).
+at the uniform state (banded in time per x-mode, Cholesky-factored once per
+solve), which keeps the iteration count essentially grid-independent where
+a raw gradient loop stalls on the stiff fine grids.  Every accepted iterate
+is feasible (pinned rows exact, slice means zero, density at or above the
+configured floor).  The slope inversion ``p = L'(z / y)`` behind a trial
+point's objective also gives the partials of its gradient, if accepted.
 """
 
 from __future__ import annotations
@@ -198,22 +199,27 @@ def _shifted_fields(spec: PlanningSpec, pp: PotentialPair) -> tuple[Field, Field
     return z, y
 
 
+def _evaluate(spec: PlanningSpec, pp: PotentialPair):
+    """:func:`objective` and the terms ``(z, y, (p, -H(p)))`` of its one slope inversion."""
+    g = spec.grid
+    z, y = _shifted_fields(spec, pp)
+    if np.min(y) < 0.0:
+        return np.inf, None
+    l0, p, minus_h = spec.model.perspective._value_and_partials(z, y)
+    if not np.all(np.isfinite(l0)):
+        return np.inf, None
+    v = spec.model.potential.sample(g)[None, :]
+    integrand = l0 - v * (y - 1.0) + spec.model.coupling.G(y)
+    return integrate_xt(g, integrand), (z, y, (p, minus_h))
+
+
 def objective(spec: PlanningSpec, pp: PotentialPair) -> float:
     """Extended-real value of the planning functional at ``pp``.
 
     Returns ``+inf`` when any node has negative density or hits the
     infeasible branch of the perspective (zero density with nonzero flux).
     """
-    g = spec.grid
-    z, y = _shifted_fields(spec, pp)
-    if np.min(y) < 0.0:
-        return np.inf
-    l0 = spec.model.perspective.value(z, y)
-    if not np.all(np.isfinite(l0)):
-        return np.inf
-    v = spec.model.potential.sample(g)[None, :]
-    integrand = l0 - v * (y - 1.0) + spec.model.coupling.G(y)
-    return integrate_xt(g, integrand)
+    return _evaluate(spec, pp)[0]
 
 
 def project_tangent(grid: Grid, dphi: Field) -> Field:
@@ -250,15 +256,21 @@ def gradient(spec: PlanningSpec, pp: PotentialPair) -> tuple[Field, TimeSeries]:
         If the density is below the configured floor anywhere (the partials
         of the perspective would be evaluated outside their domain).
     """
+    return _gradient(spec, *_shifted_fields(spec, pp))
+
+
+def _gradient(spec: PlanningSpec, z: Field, y: Field, partials=None) -> tuple[Field, TimeSeries]:
+    """:func:`gradient` from ``(z, y)``, reusing ``partials = (p, -H(p))`` known at ``z / y``."""
     g = spec.grid
-    z, y = _shifted_fields(spec, pp)
     ymin = float(np.min(y))
     if ymin + 1e-13 < spec.floor:
         raise ValueError(
             f"gradient evaluated at infeasible pair: min density {ymin:.3e} "
             f"below floor {spec.floor:.3e}"
         )
-    dz, dy = spec.model.perspective.partials(z, np.maximum(y, spec.floor))
+    if partials is None or ymin < spec.floor or ymin <= 0.0:  # evaluate at max(y, floor)
+        partials = spec.model.perspective.partials(z, np.maximum(y, spec.floor))
+    dz, dy = partials
     v = spec.model.potential.sample(g)[None, :]
     b = dy - v + spec.model.coupling.g(y)
 
@@ -349,19 +361,15 @@ def _build_preconditioner(spec: PlanningSpec):
     central-difference symbol.  ``S_k^T W_t S_k`` expands into three
     k-independent matrices of bandwidth at most 2, weighted by 1, ``lap_k``
     and ``lap_k^2``, so the ``A_k`` are stored as :class:`ModeBanded` bands
-    and solved per mode by banded Cholesky; the solve drops the pinned rows
-    and the zero mode (both outside the feasible tangent space).  Returns a
-    callable mapping a plain l2 phi-gradient to a descent direction.
+    and Cholesky-factored once per mode (:meth:`ModeBanded.factor`); the
+    solve drops the pinned rows and the zero mode (both outside the feasible
+    tangent space).  Returns the factored solve, a callable mapping a plain
+    l2 phi-gradient to a descent direction.
     """
     g = spec.grid
     wt = time_weights(g)
     mt = time_stencil_matrix(g)
-    h = 1e-4
-    lag = spec.model.lagrangian
-    lpp = max(float((lag.eval(np.asarray(h)) - 2 * lag.eval(np.asarray(0.0))
-                     + lag.eval(np.asarray(-h))) / h**2), 1e-8)
-    cpl = spec.model.coupling
-    gp1 = max(float((cpl.g(np.asarray(1.0 + h)) - cpl.g(np.asarray(1.0 - h))) / (2 * h)), 0.0)
+    lpp, gp1 = _curvatures(spec)
 
     ks = np.arange(g.nx // 2 + 1)
     s2 = (np.sin(2.0 * np.pi * ks / g.nx) / g.dx) ** 2
@@ -374,7 +382,22 @@ def _build_preconditioner(spec: PlanningSpec):
         for power, term in enumerate(terms):
             bands[d, : g.nt - d] += lpp * np.diagonal(term, -d)[:, None] * lap**power
     bands[0] += gp1 * wt[:, None] * s2
-    return ModeBanded(g, g.dx * bands).solve
+    return ModeBanded(g, g.dx * bands).factor()
+
+
+def _curvatures(spec: PlanningSpec) -> tuple[float, float]:
+    """Central-difference ``L''(0)`` (at least 1e-8) and ``g'(1)`` (at least 0)."""
+    h = 1e-4
+    lag = spec.model.lagrangian
+    lpp = max(float((lag.eval(np.asarray(h)) - 2 * lag.eval(np.asarray(0.0))
+                     + lag.eval(np.asarray(-h))) / h**2), 1e-8)
+    cpl = spec.model.coupling
+    gp1 = max(float((cpl.g(np.asarray(1.0 + h)) - cpl.g(np.asarray(1.0 - h))) / (2 * h)), 0.0)
+    return lpp, gp1
+
+
+def _sup_norm(gphi: Field, gq: TimeSeries) -> float:
+    return max(float(np.max(np.abs(gphi))), float(np.max(np.abs(gq))))
 
 
 def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveReport:
@@ -395,6 +418,13 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
     machine precision.  If neither phase can make progress the solver
     returns early with ``diagnostics["stalled"]`` set.
 
+    ``diagnostics["exit_reason"]`` is ``"converged"``, ``"rounding_floor"``
+    (stalled at a gradient sup-norm at most ``diagnostics["grad_floor_estimate"]``),
+    ``"stalled"`` (above it) or ``"max_iters"``.  That floor is ``u max|phi|`` times
+    the largest symbol of the gradient's leading operator: ``(4 / dx^2)^2 L''(0)``
+    for order 1 (``Dxx^T L''(0) Dxx``), ``(2 / dt)^2 L''(0) + g'(1) / dx^2`` for
+    order 0 (``Dt^T L''(0) Dt``, ``2 / dt`` from its end rows, and ``Dx^T g'(1) Dx``).
+
     Raises
     ------
     RuntimeError
@@ -407,18 +437,18 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
     phi, q = pp.phi.copy(), pp.q.copy()
     phi = clip_to_floor(spec, phi)
 
-    f = objective(spec, PotentialPair(phi, q))
+    f, terms = _evaluate(spec, PotentialPair(phi, q))
     if not np.isfinite(f):
         raise ValueError("starting pair is infeasible (objective is not finite)")
     trace = [f]
-    dens_trace = [float(np.min(dx_periodic(g, phi) + 1.0))]
+    dens_trace = [float(np.min(terms[1]))]
 
     precondition = _build_preconditioner(spec)
     w_field = st_weights(g)
     wt = time_weights(g)
 
-    gphi, gq = gradient(spec, PotentialPair(phi, q))
-    gnorm = max(float(np.max(np.abs(gphi))), float(np.max(np.abs(gq))))
+    gphi, gq = _gradient(spec, *terms)
+    gnorm = _sup_norm(gphi, gq)
     converged = gnorm <= spec.tol
     iters = 0
     backtracks = 0
@@ -435,62 +465,51 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
             dphi_dir, dq_dir = -gphi, -gq
             slope = -pair_inner(g, (gphi, gq), (gphi, gq))
 
+        # descent phase while the predicted decrease is resolvable: monotone
+        # Armijo backtracking; polish phase below the objective's floating-point
+        # resolution, where f can no longer arbitrate steps: accept on gradient
+        # contraction instead
         resolution = 64.0 * np.finfo(float).eps * (1.0 + abs(f))
-        if -slope > resolution:
-            # descent phase: monotone Armijo backtracking
-            alpha = min(1.0, 4.0 * alpha)
-            accepted = False
-            for _ in range(80):
-                phi_t = clip_to_floor(spec, phi + alpha * dphi_dir)
-                q_t = q + alpha * dq_dir
-                f_t = objective(spec, PotentialPair(phi_t, q_t))
-                if f_t <= f + 1e-4 * alpha * slope or f_t < f:
-                    accepted = True
-                    break
-                alpha *= 0.5
-                backtracks += 1
-            if not accepted:
+        descent = -slope > resolution
+        alpha = min(1.0, 4.0 * alpha) if descent else 1.0
+        accepted = False
+        for _ in range(80 if descent else 24):
+            phi_t = clip_to_floor(spec, phi + alpha * dphi_dir)
+            q_t = q + alpha * dq_dir
+            f_t, terms_t = _evaluate(spec, PotentialPair(phi_t, q_t))
+            if descent:
+                accepted = f_t <= f + 1e-4 * alpha * slope or f_t < f
+            elif f_t <= f + resolution:
+                grad_t = _gradient(spec, *terms_t)
+                accepted = _sup_norm(*grad_t) < gnorm
+            if accepted:
+                break
+            alpha *= 0.5
+            backtracks += 1
+        if not accepted:
+            if descent:
                 raise RuntimeError(
                     "line-search failure: no descent over a full backtracking "
-                    f"sweep (iter {iters}, objective {f:.12e}, grad sup-norm "
-                    f"{gnorm:.3e})"
+                    f"sweep (iter {iters}, objective {f:.12e}, grad sup-norm {gnorm:.3e})"
                 )
-            phi, q, f = phi_t, q_t, f_t
-            gphi, gq = gradient(spec, PotentialPair(phi, q))
-        else:
-            # polish phase: the predicted decrease is below the objective's
-            # floating-point resolution, so the objective can no longer
-            # arbitrate steps; accept on gradient contraction instead
-            alpha = 1.0
-            accepted = False
-            for _ in range(24):
-                phi_t = clip_to_floor(spec, phi + alpha * dphi_dir)
-                q_t = q + alpha * dq_dir
-                f_t = objective(spec, PotentialPair(phi_t, q_t))
-                if f_t <= f + resolution:
-                    gphi_t, gq_t = gradient(spec, PotentialPair(phi_t, q_t))
-                    gnorm_t = max(
-                        float(np.max(np.abs(gphi_t))), float(np.max(np.abs(gq_t)))
-                    )
-                    if gnorm_t < gnorm:
-                        accepted = True
-                        break
-                alpha *= 0.5
-                backtracks += 1
-            if not accepted:
-                stalled = True  # no numerical progress left at this precision
-                break
-            phi, q = phi_t, q_t
-            f = min(f, f_t)
-            gphi, gq = gphi_t, gq_t
+            stalled = True  # no numerical progress left at this precision
+            break
+        phi, q, terms = phi_t, q_t, terms_t
+        f = f_t if descent else min(f, f_t)
+        gphi, gq = _gradient(spec, *terms) if descent else grad_t
 
         trace.append(f)
-        dens_trace.append(float(np.min(dx_periodic(g, phi) + 1.0)))
-        gnorm = max(float(np.max(np.abs(gphi))), float(np.max(np.abs(gq))))
+        dens_trace.append(float(np.min(terms[1])))
+        gnorm = _sup_norm(gphi, gq)
         converged = gnorm <= spec.tol
 
+    lpp, gp1 = _curvatures(spec)
+    symbol = (4.0 / g.dx**2) ** 2 * lpp if spec.order else (2.0 / g.dt) ** 2 * lpp + gp1 / g.dx**2
+    floor_estimate = float(np.finfo(float).eps * np.max(np.abs(phi)) * symbol)
+    stall_reason = "rounding_floor" if gnorm <= floor_estimate else "stalled"
+    exit_reason = "converged" if converged else stall_reason if stalled else "max_iters"
     pair = PotentialPair(phi, q)
-    mass = integrate_x(g, dx_periodic(g, phi) + 1.0)
+    mass = integrate_x(g, terms[1])
     diagnostics = {
         "min_density": dens_trace[-1],
         "min_density_trace": np.asarray(dens_trace),
@@ -499,6 +518,8 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
         "q_residual_sup": float(np.max(np.abs(gq))),
         "backtracks": backtracks,
         "stalled": stalled,
+        "exit_reason": exit_reason,
+        "grad_floor_estimate": floor_estimate,
     }
     return SolveReport(
         pair=pair,

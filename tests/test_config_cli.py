@@ -1,6 +1,9 @@
 """Config parsing, CSV round-trips, run dispatch, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +165,22 @@ def test_hughes_nan_density_sample_rejected(tmp_path):
     with pytest.raises(ConfigError, match=r"range violation in hughes: .*rho0\[2\]"):
         parse_config(path)
     assert main(["solve", str(path), "--quiet"]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("mode", ["planning", "validate"])
+def test_nonfinite_density_sample_rejected(tmp_path, mode, value):
+    values = [1.0] * 16
+    values[2] = value
+    block = {"m0": {"type": "samples", "values": values}, "mT": "uniform"}
+    doc = planning_doc(planning=block) if mode == "planning" else validate_doc(block)
+    doc["output_dir"] = str(tmp_path / "out")
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError,
+                       match=rf"range violation at {mode}\.m0\.values\[2\]: .* not a finite"):
+        parse_config(path)
+    assert main(["solve" if mode == "planning" else "validate", str(path), "--quiet"]) == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -471,3 +490,19 @@ def test_quiet_suppresses_progress(tmp_path, capsys):
     path = write_config(tmp_path, doc)
     assert main(["solve", str(path), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_python_dash_m_runs_from_a_checkout(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfgplan", "solve", "configs/planning_sine.yaml",
+         "--out", str(tmp_path / "out"), "--quiet"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["diagnostics"]["exit_reason"] == "converged"

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solveh_banded
 
 from mfgplan.grid import (
     Grid,
+    ModeBanded,
     antiderivative_x,
     dt_interior,
     dt_transpose,
@@ -172,3 +174,47 @@ def test_dx_commutes_with_rotation(seed, shift):
     f = rng.standard_normal((4, 32))
     rotated = np.roll(dx_periodic(g, f), shift, axis=1)
     assert np.allclose(rotated, dx_periodic(g, np.roll(f, shift, axis=1)), atol=1e-12)
+
+
+def _banded_reference(op: ModeBanded, rhs: np.ndarray) -> np.ndarray:
+    """The per-call solve: one ``solveh_banded`` per mode on the interior rows."""
+    coef = np.fft.rfft(rhs, axis=1)
+    out = np.zeros_like(coef)
+    for k in range(1, coef.shape[1]):
+        out[1:-1, k] = solveh_banded(op.bands[:, 1:-1, k], coef[1:-1, k], lower=True)
+    return np.fft.irfft(out, n=op.grid.nx, axis=1)
+
+
+def _spd_bands(g: Grid, rows: int, rng) -> np.ndarray:
+    """Random diagonally dominant (hence SPD) bands varying with t and mode."""
+    nk = g.nx // 2 + 1
+    bands = np.zeros((rows, g.nt, nk))
+    for d in range(1, rows):
+        bands[d, : g.nt - d] = rng.uniform(-1.0, 1.0, (g.nt - d, nk))
+    bands[0] = 2.0 * (rows - 1) + rng.uniform(0.1, 1.0, (g.nt, nk))
+    return bands
+
+
+@pytest.mark.parametrize("nt, nx", [(9, 15), (33, 32), (129, 128)])
+@pytest.mark.parametrize("rows", [3, 7])
+def test_mode_banded_factor_matches_per_mode_banded_solve(nt, nx, rows):
+    g = Grid(nt=nt, nx=nx, horizon=1.0)
+    rng = np.random.default_rng(nt + rows)
+    op = ModeBanded(g, _spd_bands(g, rows, rng))
+    solve = op.factor()
+    for _ in range(2):  # the factors are reused, not consumed
+        rhs = rng.standard_normal((nt, nx))
+        ref = _banded_reference(op, rhs)
+        assert np.array_equal(solve(rhs), ref)
+        assert np.array_equal(op.solve(rhs), ref)
+
+
+def test_mode_banded_factor_rejects_indefinite_mode():
+    g = Grid(nt=9, nx=15, horizon=1.0)
+    bands = _spd_bands(g, 3, np.random.default_rng(0))
+    bands[0, 4, 3] = -1.0  # interior row 3 of mode 3
+    op = ModeBanded(g, bands)
+    with pytest.raises(np.linalg.LinAlgError, match="mode 3: .* not positive definite"):
+        op.factor()
+    with pytest.raises(np.linalg.LinAlgError):
+        op.solve(np.ones((9, 15)))

@@ -1,5 +1,7 @@
 """Variational-core checks: feasible set plumbing, objective, gradient, solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,15 +14,19 @@ from mfgplan.grid import (
     dx_periodic,
     dxx_periodic,
     integrate_x,
+    integrate_xt,
     time_stencil_matrix,
     time_weights,
 )
 from mfgplan import model as model_module
+from mfgplan import planning as planning_module
 from mfgplan.model import build_model, cosine_potential, power_coupling, power_hamiltonian
 from mfgplan.planning import (
     PlanningSpec,
     PotentialPair,
     _build_preconditioner,
+    _evaluate,
+    _gradient,
     boundary_slices,
     clip_to_floor,
     gradient,
@@ -305,3 +311,95 @@ def test_power_model_inverts_the_slope_once_per_call(monkeypatch, order):
     assert len(calls) == 1
     gradient(spec, pp)
     assert len(calls) == 2
+
+
+def _model(kind: str):
+    if kind == "power":
+        return build_model(power_hamiltonian(1.5), power_coupling(2.5), cosine_potential(0.2))
+    return build_model(potential=cosine_potential(0.2))
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("kind", ["quadratic", "power"])
+def test_fused_evaluation_matches_wrappers(kind, order):
+    spec = sine_spec(model=_model(kind), order=order)
+    pp = random_feasible_pair(spec, np.random.default_rng(7))
+    f, terms = _evaluate(spec, pp)
+    z, y, (p, minus_h) = terms
+    model = spec.model
+    # the perspective and objective by the formulas of L itself
+    ref_value = y * model.lagrangian.eval(z / y)
+    v = model.potential.sample(spec.grid)[None, :]
+    ref_f = integrate_xt(spec.grid, ref_value - v * (y - 1.0) + model.coupling.G(y))
+    assert f == objective(spec, pp) == ref_f
+    assert np.array_equal(model.perspective.value(z, y), ref_value)
+    ref_p = model.lagrangian.derivative(z / y)
+    assert np.array_equal(p, ref_p)
+    assert np.array_equal(minus_h, -model.hamiltonian.eval(ref_p))
+    for fused, wrapped in zip(_gradient(spec, *terms), gradient(spec, pp)):
+        assert np.array_equal(fused, wrapped)
+    # a density just below the floor (within the 1e-13 slack) re-evaluates
+    # the partials at max(y, floor), exactly as the wrapper does
+    low = dataclasses.replace(spec, floor=float(np.min(y)) + 5e-14)
+    for fused, wrapped in zip(_gradient(low, *terms), gradient(low, pp)):
+        assert np.array_equal(fused, wrapped)
+
+
+def test_minimize_inverts_full_grid_slopes_once_per_trial_point(monkeypatch):
+    spec = sine_spec(nt=33, nx=32, model=_model("power"), order=1)
+    full = []
+    invert = model_module._invert_slope
+
+    def counted(ham, w):
+        if np.size(w) == spec.grid.nt * spec.grid.nx:
+            full.append(1)
+        return invert(ham, w)
+
+    monkeypatch.setattr(model_module, "_invert_slope", counted)
+    report = minimize(spec)
+    assert report.converged and report.iterations > 5
+    # the start plus one trial per iteration plus one per backtrack; the
+    # gradient of each accepted point reuses its trial's slopes
+    assert len(full) == 1 + report.iterations + report.diagnostics["backtracks"]
+
+
+def _refinement_spec(nt: int, nx: int) -> PlanningSpec:
+    g = Grid(nt=nt, nx=nx, horizon=1.0)
+    wave = 0.1 * np.sin(2 * np.pi * g.x)
+    return PlanningSpec(grid=g, m0=1.0 + wave, mT=1.0 - wave, order=1, tol=1e-8)
+
+
+@pytest.mark.parametrize("nt, nx, reason", [(129, 128, "converged"), (257, 256, "rounding_floor")])
+def test_order1_sine_rung_exit_reason(nt, nx, reason):
+    spec = _refinement_spec(nt, nx)
+    report = minimize(spec)
+    diag = report.diagnostics
+    assert diag["exit_reason"] == reason
+    # u max|phi| (4 / dx^2)^2 L''(0), with L''(0) = 1 for the quadratic model
+    floor = np.finfo(float).eps * np.max(np.abs(report.pair.phi)) * (4.0 * nx**2) ** 2
+    assert diag["grad_floor_estimate"] == pytest.approx(floor, rel=1e-6)
+    if reason == "converged":
+        assert report.converged and report.grad_norm <= spec.tol
+    else:  # stalled between the tolerance and the rounding floor
+        assert not report.converged and diag["stalled"]
+        assert spec.tol < report.grad_norm <= diag["grad_floor_estimate"]
+
+
+def test_descent_without_decrease_is_a_line_search_failure(monkeypatch):
+    evaluate = planning_module._evaluate
+    calls = []
+
+    def start_only(spec, pp):  # every trial point is infeasible
+        calls.append(1)
+        return evaluate(spec, pp) if len(calls) == 1 else (np.inf, None)
+
+    monkeypatch.setattr(planning_module, "_evaluate", start_only)
+    with pytest.raises(RuntimeError, match="line-search failure"):
+        minimize(sine_spec())
+    assert len(calls) == 1 + 80
+
+
+def test_iteration_budget_exit_reason():
+    report = minimize(sine_spec(max_iters=1, tol=1e-12))
+    assert not report.converged and not report.diagnostics["stalled"]
+    assert report.diagnostics["exit_reason"] == "max_iters"
