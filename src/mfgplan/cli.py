@@ -163,15 +163,18 @@ def _density_from(entry, grid: Grid, path: str) -> np.ndarray:
         _reject_unknown(block, {"type"}, path)
         return 1.0 - np.cos(2.0 * np.pi * x)
     if kind == "samples":
-        _reject_unknown(block, {"type", "values"}, path)
-        values = _require(block, "values", path)
-        if not isinstance(values, list) or len(values) != grid.nx:
-            got = f"{len(values)} values" if isinstance(values, list) else repr(values)
-            raise ConfigError(
-                f"schema violation at {path}.values: expected {grid.nx} samples, got {got}"
-            )
-        return np.array([_number(v, f"{path}.values[{i}]") for i, v in enumerate(values)])
+        return _samples_from(block, grid.nx, path)
     raise ConfigError(f"schema violation at {path}.type: unknown density type {kind!r}")
+
+
+def _samples_from(block: dict, n: int, path: str) -> np.ndarray:
+    """The ``values`` of a ``type: samples`` density: exactly ``n`` finite numbers."""
+    _reject_unknown(block, {"type", "values"}, path)
+    values = _require(block, "values", path)
+    if not isinstance(values, list) or len(values) != n:
+        got = f"{len(values)} values" if isinstance(values, list) else repr(values)
+        raise ConfigError(f"schema violation at {path}.values: expected {n} samples, got {got}")
+    return np.array([_number(v, f"{path}.values[{i}]") for i, v in enumerate(values)])
 
 
 @dataclass
@@ -186,7 +189,7 @@ class ValidationTarget:
 
 _PLANNING_KEYS = {
     "hamiltonian", "coupling", "potential", "m0", "mT",
-    "order", "tol", "floor", "max_iters", "step0",
+    "order", "tol", "floor", "max_iters",
 }
 
 
@@ -262,7 +265,6 @@ def _planning_from(block: dict, grid: Grid, path: str) -> PlanningSpec:
             max_iters=_integer(block.get("max_iters", 20000), f"{path}.max_iters", lo=1),
             tol=_number(block.get("tol", 1e-8), f"{path}.tol", lo=0.0, lo_open=True),
             floor=_number(block.get("floor", 1e-8), f"{path}.floor", lo=0.0),
-            step0=_number(block.get("step0", 1.0), f"{path}.step0", lo=0.0, lo_open=True),
         )
     except ValueError as exc:
         raise ConfigError(f"range violation in {path}: {exc}") from exc
@@ -320,13 +322,7 @@ def _hughes_density_from(entry, xs: np.ndarray, path: str) -> np.ndarray:
         steep = _number(block.get("steepness", 1.0), f"{path}.steepness", lo=0.0, lo_open=True)
         return lo + (hi - lo) * (1.0 + np.tanh(steep * xs)) / 2.0
     if kind == "samples":
-        _reject_unknown(block, {"type", "values"}, path)
-        arr = np.asarray(_require(block, "values", path), dtype=float)
-        if arr.shape != (xs.size,):
-            raise ConfigError(
-                f"schema violation at {path}.values: expected {xs.size} samples, got {arr.shape}"
-            )
-        return arr
+        return _samples_from(block, xs.size, path)
     raise ConfigError(f"schema violation at {path}.type: unknown density type {kind!r}")
 
 
@@ -439,10 +435,7 @@ def write_field_csv(path, ts, xs, field) -> None:
 
 
 def write_series_csv(path, ts, series) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,q\n")
-        for t, v in zip(ts, series):
-            fh.write(_fmt(t) + "," + _fmt(v) + "\n")
+    _write_diagnostics(path, "t,q", zip(ts, series))
 
 
 def read_field_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -520,6 +513,15 @@ def run_validation(config: RunConfig, quiet: bool = False) -> int:
 # solve dispatch
 
 
+def _write_solution(out: Path, g: Grid, report, sol, trace_header: str) -> None:
+    """The four solution CSVs of a planning or congestion run, and its trace."""
+    write_field_csv(out / "solution_phi.csv", g.t, g.x, report.pair.phi)
+    write_series_csv(out / "solution_q.csv", g.t, report.pair.q)
+    write_field_csv(out / "solution_u.csv", g.t, g.x, sol.u)
+    write_field_csv(out / "solution_m.csv", g.t, g.x, sol.m)
+    _write_diagnostics(out / "diagnostics.csv", trace_header, enumerate(report.objective_trace))
+
+
 def _run_planning(config: RunConfig, out: Path, quiet: bool) -> int:
     spec = config.spec
     started = time.perf_counter()
@@ -528,12 +530,7 @@ def _run_planning(config: RunConfig, out: Path, quiet: bool) -> int:
     wall = time.perf_counter() - started
     g = spec.grid
 
-    write_field_csv(out / "solution_phi.csv", g.t, g.x, report.pair.phi)
-    write_series_csv(out / "solution_q.csv", g.t, report.pair.q)
-    write_field_csv(out / "solution_u.csv", g.t, g.x, sol.u)
-    write_field_csv(out / "solution_m.csv", g.t, g.x, sol.m)
-    _write_diagnostics(out / "diagnostics.csv", "iteration,objective",
-                       list(enumerate(report.objective_trace)))
+    _write_solution(out, g, report, sol, "iteration,objective")
     checks = validate_solution(sol, spec)
     summary = {
         "mode": "planning",
@@ -563,12 +560,7 @@ def _run_congestion(config: RunConfig, out: Path, quiet: bool) -> int:
     g = spec.grid
     sol = report.solution
 
-    write_field_csv(out / "solution_phi.csv", g.t, g.x, report.pair.phi)
-    write_series_csv(out / "solution_q.csv", g.t, report.pair.q)
-    write_field_csv(out / "solution_u.csv", g.t, g.x, sol.u)
-    write_field_csv(out / "solution_m.csv", g.t, g.x, sol.m)
-    _write_diagnostics(out / "diagnostics.csv", "iteration,fp_residual",
-                       list(enumerate(report.objective_trace)))
+    _write_solution(out, g, report, sol, "iteration,fp_residual")
     summary = {
         "mode": "congestion",
         "seed": config.seed,

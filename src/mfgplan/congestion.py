@@ -59,8 +59,11 @@ from .planning import (
     PotentialPair,
     SolveReport,
     boundary_slices,
+    check_density,
+    check_marginal,
     clip_to_floor,
     initial_guess,
+    potential_fields,
     project_tangent,
 )
 from .recovery import MFGSolution
@@ -121,18 +124,7 @@ class CongestionSpec:
         if g.nt < 7:
             raise ValueError("sixth differences in time need nt >= 7")
         for name in ("m0", "mT"):
-            m = getattr(self, name)
-            if m is None:
-                object.__setattr__(self, name, np.ones(g.nx))
-                continue
-            m = np.asarray(m, dtype=float)
-            if m.shape != (g.nx,):
-                raise ValueError(f"{name} has shape {m.shape}, expected ({g.nx},)")
-            if np.min(m) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-            if abs(g.dx * np.sum(m) - 1.0) > 1e-8:
-                raise ValueError(f"{name} must integrate to 1")
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name, check_marginal(g, getattr(self, name), name))
         if self.eps_schedule is None:
             object.__setattr__(self, "eps_schedule", _default_schedule(self.k0))
         sched = tuple(float(e) for e in self.eps_schedule)
@@ -223,13 +215,6 @@ def _inner_operator(spec: CongestionSpec, eps: float) -> ModeBanded:
 # the operator
 
 
-def _fields(spec: CongestionSpec, pp: PotentialPair) -> tuple[Field, Field]:
-    g = spec.grid
-    y = dx_periodic(g, pp.phi) + 1.0
-    z = dt_interior(g, pp.phi) + pp.q[:, None]
-    return y, z
-
-
 def _images(spec: CongestionSpec, y: Field, z: Field) -> OperatorImage:
     g = spec.grid
     rho = z * y ** (spec.alpha - 1.0)
@@ -250,14 +235,8 @@ def apply_F(spec: CongestionSpec, pp: PotentialPair, eps: float | None = None) -
     stricter bound ``phi_x + 1 >= eps`` is enforced (the precondition of
     the regularized inner problems).
     """
-    y, z = _fields(spec, pp)
-    lower = 0.0 if eps is None else eps
-    if np.min(y) < lower or (eps is None and np.min(y) <= 0.0):
-        i, j = np.unravel_index(int(np.argmin(y)), y.shape)
-        raise ValueError(
-            f"density below the feasible level at node (t_index={i}, x_index={j}): "
-            f"{y[i, j]:.6e} < {max(lower, 0.0):.6e}"
-        )
+    z, y = potential_fields(spec.grid, pp, 0)
+    check_density(y, 0.0 if eps is None else eps, "density below the feasible level")
     return _images(spec, y, z)
 
 
@@ -424,19 +403,18 @@ def apriori_diagnostics(spec: CongestionSpec, eps: float, pp: PotentialPair) -> 
     are covered by that constant; the third is reported without a bound.
     """
     g = spec.grid
-    phi0 = initial_guess(spec.planning_view(floor=min(eps, spec.k0 * 0.5))).phi
-    y0 = dx_periodic(g, phi0) + 1.0
-    z0 = dt_interior(g, phi0)
+    pp0 = initial_guess(spec.planning_view(floor=min(eps, spec.k0 * 0.5)))
+    z0, y0 = potential_fields(g, pp0, 0)
 
     k1 = float(np.max(y0))
     m_sq = float(np.max(np.abs(z0))) ** 2
     c1 = young_sup(k1, spec.mu, spec.mu)
     c2 = young_sup(m_sq / spec.k0, spec.alpha, spec.mu)
     w = st_weights(g)
-    r0 = float(np.sum(w * phi0 * phi0)) + g.dt * g.dx * regularizer_quadratic(g, phi0)
+    r0 = float(np.sum(w * pp0.phi * pp0.phi)) + g.dt * g.dx * regularizer_quadratic(g, pp0.phi)
     bound = 2.0 * (0.5 * eps * r0 + g.horizon * (c1 + c2))
 
-    y, z = _fields(spec, pp)
+    y = potential_fields(g, pp, 0)[1]
     mu_energy = float(integrate_xt(g, y ** (spec.mu + 1.0)))
     e_phi = float(np.sum(w * pp.phi**2)) + g.dt * g.dx * regularizer_quadratic(g, pp.phi)
     dq = np.diff(pp.q) / g.dt
@@ -480,8 +458,9 @@ def _newton_polish(
     are evaluated with their bases floored at eps and every floored node
     is counted; the count is returned for reporting, with a status:
     ``"converged"``, scipy's message, or the error a bad trial point raised
-    (``pp`` is then returned).  The caller always re-verifies the result
-    with a genuine inner-solver sweep.
+    or the reason a non-finite result was discarded (``pp`` is then
+    returned).  The caller always re-verifies the result with a genuine
+    inner-solver sweep.
     """
     g = spec.grid
     n_phi = g.nt * g.nx
@@ -498,7 +477,7 @@ def _newton_polish(
 
     def residual(v: np.ndarray) -> np.ndarray:
         p = unpack(v)
-        y, z = _fields(spec, p)
+        z, y = potential_fields(g, p, 0)
         low = y < eps
         floored[0] += int(np.count_nonzero(low))
         img = _images(spec, np.where(low, eps, y), z)
@@ -521,6 +500,8 @@ def _newton_polish(
         )
     except (ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
         return pp, f"{type(exc).__name__}: {exc}", floored[0]
+    if not np.all(np.isfinite(sol.x)):
+        return pp, f"non-finite result discarded: {sol.message}", floored[0]
     cand = unpack(sol.x)
     if np.min(dx_periodic(g, cand.phi) + 1.0) < eps:
         cand = PotentialPair(clip_to_floor(spec.planning_view(floor=eps), cand.phi), cand.q)
@@ -535,15 +516,9 @@ def recover_congestion(spec: CongestionSpec, pp: PotentialPair) -> MFGSolution:
     so they measure discretization error honestly.
     """
     g = spec.grid
-    y, z = _fields(spec, pp)
-    if np.min(y) <= 0.0:
-        i, j = np.unravel_index(int(np.argmin(y)), y.shape)
-        raise ValueError(
-            f"degenerate density at node (t_index={i}, x_index={j}): "
-            f"density {y[i, j]:.6e} is not positive"
-        )
-    m = y
-    u = antiderivative_x(g, y ** (spec.alpha - 1.0) * z)
+    z, m = potential_fields(g, pp, 0)
+    check_density(m, 0.0, "degenerate density")
+    u = antiderivative_x(g, m ** (spec.alpha - 1.0) * z)
     ux = dx_periodic(g, u)
     hj = -dt_interior(g, u) + ux**2 / (2.0 * m**spec.alpha) - m**spec.mu
     c = hj.mean(axis=1)

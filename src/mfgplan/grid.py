@@ -96,10 +96,6 @@ class Grid:
         """Space nodes ``j * dx`` in ``[0, 1)``, shape ``(nx,)``."""
         return np.arange(self.nx) / self.nx
 
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Broadcastable ``(T, X)`` node arrays of shape ``(nt, nx)``."""
-        return np.meshgrid(self.t, self.x, indexing="ij")
-
     def refined(self) -> "Grid":
         """The grid with both mesh widths halved (``nt -> 2 nt - 1``, ``nx -> 2 nx``)."""
         return Grid(2 * self.nt - 1, 2 * self.nx, self.horizon)

@@ -55,6 +55,9 @@ __all__ = [
     "PlanningSpec",
     "PotentialPair",
     "SolveReport",
+    "potential_fields",
+    "check_density",
+    "check_marginal",
     "boundary_slices",
     "initial_guess",
     "objective",
@@ -77,19 +80,18 @@ class PlanningSpec:
         Discretization; the horizon lives here.
     model : MFGModel
         Hamiltonian/Lagrangian/coupling/potential bundle.
-    m0, mT : array, shape (nx,)
-        Boundary densities.  Both must be strictly positive probability
-        densities (unit integral within 1e-8).
+    m0, mT : array, shape (nx,), optional
+        Boundary densities, uniform when omitted.  Both must be strictly
+        positive probability densities (:func:`check_marginal`).
     order : int
         0 for the first-order problem, 1 to include the ``-phi_xx`` shift
         in the perspective argument.
     max_iters, tol : optimizer budget and target sup-norm of the projected
         gradient.
     floor : float
-        Strict interior floor for the density ``phi_x + 1``; keeps the
-        perspective and its partials finite along the iteration.
-    step0 : float
-        First trial step of the line search.
+        Strict interior floor for the density ``phi_x + 1``
+        (:func:`potential_fields`); keeps the perspective and its partials
+        finite along the iteration.
     """
 
     grid: Grid
@@ -100,24 +102,12 @@ class PlanningSpec:
     max_iters: int = 20000
     tol: float = 1e-8
     floor: float = 1e-8
-    step0: float = 1.0
 
     def __post_init__(self) -> None:
-        nx = self.grid.nx
-        m0 = np.ones(nx) if self.m0 is None else np.asarray(self.m0, dtype=float)
-        mT = np.ones(nx) if self.mT is None else np.asarray(self.mT, dtype=float)
-        object.__setattr__(self, "m0", m0)
-        object.__setattr__(self, "mT", mT)
         if self.order not in (0, 1):
             raise ValueError(f"order must be 0 or 1, got {self.order}")
-        for name, m in (("m0", m0), ("mT", mT)):
-            if m.shape != (nx,):
-                raise ValueError(f"{name} must have shape ({nx},), got {m.shape}")
-            if np.min(m) <= 0:
-                raise ValueError(f"{name} must be strictly positive (min {np.min(m):.3e})")
-            total = integrate_x(self.grid, m)
-            if abs(total - 1.0) > 1e-8:
-                raise ValueError(f"{name} must integrate to 1, got {total:.10f}")
+        for name in ("m0", "mT"):
+            object.__setattr__(self, name, check_marginal(self.grid, getattr(self, name), name))
         if not 0.0 <= self.floor < self.k0:
             raise ValueError(
                 f"floor must satisfy 0 <= floor < min density {self.k0:.3e}, got {self.floor}"
@@ -137,6 +127,53 @@ class PotentialPair:
 
     phi: Field
     q: TimeSeries
+
+
+def potential_fields(grid: Grid, pp: PotentialPair, order: int) -> tuple[Field, Field]:
+    """``(flux, density)`` of the potential transformation at ``pp``.
+
+    The density is ``m = phi_x + 1`` and the flux ``phi_t + q - order * phi_xx``;
+    written through the potential, the discrete continuity equation between
+    them holds at every pair, which is why no solver enforces it.
+    """
+    flux = dt_interior(grid, pp.phi) + pp.q[:, None]
+    if order == 1:
+        flux = flux - dxx_periodic(grid, pp.phi)
+    return flux, dx_periodic(grid, pp.phi) + 1.0
+
+
+def check_density(m: Field, lower: float, problem: str) -> None:
+    """Raise ``ValueError`` unless every node of ``m`` is positive and at least ``lower``.
+
+    A NaN node fails.  The message starts with ``problem`` and names the
+    (first) worst node as ``(t_index=i, x_index=j)``.
+    """
+    ymin = float(np.min(m))
+    if not ymin > 0.0 or ymin < lower:
+        i, j = np.unravel_index(int(np.argmin(m)), m.shape)
+        raise ValueError(
+            f"{problem} at node (t_index={i}, x_index={j}): density {m[i, j]:.6e} "
+            f"must be positive and at least {lower:.6e}"
+        )
+
+
+def check_marginal(grid: Grid, m, name: str) -> np.ndarray:
+    """Endpoint density ``m`` as a float array (uniform if ``None``), checked.
+
+    Raises ``ValueError`` naming ``name`` unless ``m`` has shape ``(nx,)``,
+    is finite and strictly positive, and integrates to 1 within 1e-8.
+    """
+    if m is None:
+        return np.ones(grid.nx)
+    m = np.asarray(m, dtype=float)
+    if m.shape != (grid.nx,):
+        raise ValueError(f"{name} must have shape ({grid.nx},), got {m.shape}")
+    if not (np.all(np.isfinite(m)) and np.min(m) > 0.0):
+        raise ValueError(f"{name} must be finite and strictly positive (min {np.min(m):.3e})")
+    total = integrate_x(grid, m)
+    if abs(total - 1.0) > 1e-8:
+        raise ValueError(f"{name} must integrate to 1, got {total:.10f}")
+    return m
 
 
 @dataclass
@@ -189,20 +226,10 @@ def initial_guess(spec: PlanningSpec) -> PotentialPair:
     return PotentialPair(phi=phi, q=np.zeros(g.nt))
 
 
-def _shifted_fields(spec: PlanningSpec, pp: PotentialPair) -> tuple[Field, Field]:
-    """(z, y): the perspective arguments at the current pair."""
-    g = spec.grid
-    z = dt_interior(g, pp.phi) + pp.q[:, None]
-    if spec.order == 1:
-        z = z - dxx_periodic(g, pp.phi)
-    y = dx_periodic(g, pp.phi) + 1.0
-    return z, y
-
-
 def _evaluate(spec: PlanningSpec, pp: PotentialPair):
     """:func:`objective` and the terms ``(z, y, (p, -H(p)))`` of its one slope inversion."""
     g = spec.grid
-    z, y = _shifted_fields(spec, pp)
+    z, y = potential_fields(g, pp, spec.order)
     if np.min(y) < 0.0:
         return np.inf, None
     l0, p, minus_h = spec.model.perspective._value_and_partials(z, y)
@@ -256,7 +283,7 @@ def gradient(spec: PlanningSpec, pp: PotentialPair) -> tuple[Field, TimeSeries]:
         If the density is below the configured floor anywhere (the partials
         of the perspective would be evaluated outside their domain).
     """
-    return _gradient(spec, *_shifted_fields(spec, pp))
+    return _gradient(spec, *potential_fields(spec.grid, pp, spec.order))
 
 
 def _gradient(spec: PlanningSpec, z: Field, y: Field, partials=None) -> tuple[Field, TimeSeries]:
@@ -452,7 +479,7 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
     converged = gnorm <= spec.tol
     iters = 0
     backtracks = 0
-    alpha = spec.step0
+    alpha = 1.0
 
     stalled = False
     while not converged and not stalled and iters < spec.max_iters:

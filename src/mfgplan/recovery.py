@@ -1,12 +1,12 @@
 """Rebuild the value function and density from a converged potential pair.
 
-The change of variables runs in one direction only: the density is the
-shifted spatial derivative of the potential, the velocity field comes from
-inverting the Hamiltonian slope on the shifted time derivative, and the
-value function is its spatial antiderivative.  Everything else here is
-diagnostic: the time gauge ``theta`` and the two PDE residuals quantify how
-far the discrete minimizer is from solving the coupled system, mixing
-discretization error with leftover optimizer error.
+The change of variables runs in one direction only: the density and flux
+come from :func:`~mfgplan.planning.potential_fields`, the velocity field
+from inverting the Hamiltonian slope on their ratio, and the value function
+is its spatial antiderivative.  Everything else here is diagnostic: the
+time gauge ``theta`` and the two PDE residuals quantify how far the discrete
+minimizer is from solving the coupled system, mixing discretization error
+with leftover optimizer error.
 
 Two residual conventions coexist on purpose.  The residual fields stored on
 :class:`MFGSolution` differentiate the *stored* ``u``, so they see the
@@ -34,7 +34,7 @@ from .grid import (
     dxx_periodic,
     integrate_x,
 )
-from .planning import PlanningSpec, PotentialPair
+from .planning import PlanningSpec, PotentialPair, check_density, potential_fields
 
 
 @dataclass(frozen=True)
@@ -81,29 +81,23 @@ def recover(spec: PlanningSpec, pp: PotentialPair) -> MFGSolution:
     """Invert the potential transformation and attach PDE diagnostics.
 
     Requires a strictly positive discrete density: every node must satisfy
-    ``phi_x + 1 >= spec.floor``.  The slope inversion is undefined at a
-    vanishing density, so violations raise instead of propagating NaNs.
+    ``phi_x + 1 > 0`` and ``phi_x + 1 >= spec.floor``.  The slope inversion
+    is undefined at a vanishing density, so violations raise instead of
+    propagating NaNs.
 
     Raises
     ------
     ValueError
         "degenerate density" with the first failing node when the density
-        drops below ``spec.floor``.
+        is not positive, is NaN, or drops below ``spec.floor``.
     """
     g = spec.grid
     model = spec.model
     lam = float(spec.order)
 
-    m = dx_periodic(g, pp.phi) + 1.0
-    if np.min(m) < spec.floor:
-        i, j = np.unravel_index(int(np.argmin(m)), m.shape)
-        raise ValueError(
-            f"degenerate density at node (t_index={i}, x_index={j}): "
-            f"density {m[i, j]:.6e} is below the floor {spec.floor:.6e}"
-        )
-
-    w = (dt_interior(g, pp.phi) + pp.q[:, None] - lam * dxx_periodic(g, pp.phi)) / m
-    u = antiderivative_x(g, model.lagrangian.derivative(w))
+    flux, m = potential_fields(g, pp, spec.order)
+    check_density(m, spec.floor, "degenerate density")
+    u = antiderivative_x(g, model.lagrangian.derivative(flux / m))
 
     c, residual_hj = _hj_parts(spec, u, m)
     theta = cumulative_trapezoid(c, dx=g.dt, initial=0.0)
@@ -121,11 +115,8 @@ def periodicity_defect(spec: PlanningSpec, pp: PotentialPair) -> TimeSeries:
     exactly the stationarity defect of the objective in the time-profile
     variable — at a converged minimizer it sits at the optimizer tolerance.
     """
-    g = spec.grid
-    lam = float(spec.order)
-    m = dx_periodic(g, pp.phi) + 1.0
-    w = (dt_interior(g, pp.phi) + pp.q[:, None] - lam * dxx_periodic(g, pp.phi)) / m
-    return g.dx * np.sum(spec.model.lagrangian.derivative(w), axis=1)
+    flux, m = potential_fields(spec.grid, pp, spec.order)
+    return spec.grid.dx * np.sum(spec.model.lagrangian.derivative(flux / m), axis=1)
 
 
 def conservation_identity(spec: PlanningSpec, pp: PotentialPair) -> Field:
@@ -138,10 +129,8 @@ def conservation_identity(spec: PlanningSpec, pp: PotentialPair) -> Field:
     reason the solver never enforces mass transport explicitly.
     """
     g = spec.grid
-    lam = float(spec.order)
-    m = dx_periodic(g, pp.phi) + 1.0
-    flux = dt_interior(g, pp.phi) + pp.q[:, None] - lam * dxx_periodic(g, pp.phi)
-    return dt_interior(g, m) - lam * dxx_periodic(g, m) - dx_periodic(g, flux)
+    flux, m = potential_fields(g, pp, spec.order)
+    return dt_interior(g, m) - spec.order * dxx_periodic(g, m) - dx_periodic(g, flux)
 
 
 def validate_solution(sol: MFGSolution, spec: PlanningSpec) -> dict[str, float]:

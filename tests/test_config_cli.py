@@ -162,10 +162,32 @@ def test_hughes_nan_density_sample_rejected(tmp_path):
         },
     }
     path = write_config(tmp_path, doc)
-    with pytest.raises(ConfigError, match=r"range violation in hughes: .*rho0\[2\]"):
+    with pytest.raises(ConfigError, match=r"range violation at hughes\.rho0\.values\[2\]"):
         parse_config(path)
     assert main(["solve", str(path), "--quiet"]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [True, "abc"])
+def test_hughes_density_sample_must_be_a_number(tmp_path, value):
+    doc = {
+        "schema_version": 1,
+        "mode": "hughes",
+        "hughes": {
+            "x_min": -1.0, "x_max": 1.0, "nx": 5, "times": [0.0, 0.5],
+            "rho0": {"type": "samples", "values": [0.2, value, 0.4, 0.5, 0.6]},
+        },
+    }
+    with pytest.raises(ConfigError, match=r"schema violation at hughes\.rho0\.values\[1\]: "
+                                          r"expected a number"):
+        parse_config(write_config(tmp_path, doc))
+
+
+def test_planning_step0_is_unknown_key(tmp_path):
+    doc = planning_doc()
+    doc["planning"]["step0"] = 1.0
+    with pytest.raises(ConfigError, match=r"schema violation at planning\.step0: unknown key"):
+        parse_config(write_config(tmp_path, doc))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -65,6 +65,8 @@ def test_spec_validation():
         CongestionSpec(grid=g, eps_schedule=(2.0, 1.0))  # starts above k0
     with pytest.raises(ValueError):
         CongestionSpec(grid=g, m0=np.full(16, 1.5))  # not normalized
+    with pytest.raises(ValueError, match="m0 must be finite and strictly positive"):
+        CongestionSpec(grid=g, m0=np.where(np.arange(16) == 5, np.nan, 1.0))
 
 
 def test_exponent_metadata():
@@ -110,6 +112,16 @@ def test_apply_F_rejects_thin_density_with_node():
     phi[4] -= phi[4].mean()
     with pytest.raises(ValueError, match="t_index=4"):
         apply_F(spec, PotentialPair(phi, np.zeros(g.nt)))
+
+
+def test_apply_F_rejects_nan_field():
+    spec = sine_spec()
+    g = spec.grid
+    phi = np.zeros((g.nt, g.nx))
+    phi[5, 7] = np.nan
+    for eps in (None, 1e-3):
+        with pytest.raises(ValueError, match=r"below the feasible level at node \(t_index=5"):
+            apply_F(spec, PotentialPair(phi, np.zeros(g.nt)), eps=eps)
 
 
 def test_apply_F_matches_scalar_loop_path():
@@ -411,6 +423,23 @@ def test_failed_newton_candidate_is_rejected(monkeypatch):
         assert level["iterations"] == 2
         assert level["fp_residual"] == report.objective_trace[2 * i]
         assert report.objective_trace[2 * i + 1] > level["fp_residual"]
+
+
+def test_nan_newton_candidate_is_rejected(monkeypatch):
+    # an all-NaN Newton-Krylov result is discarded inside the polish, so the
+    # verifying sweep sees the level start and the solve runs to the end
+    def nan_root(fun, x0, **kwargs):
+        return SimpleNamespace(x=np.full_like(x0, np.nan), success=False, message="patched: nan")
+
+    monkeypatch.setattr(congestion, "root", nan_root)
+    report = solve_congestion(sine_spec())
+    levels = report.diagnostics["per_eps"]
+    assert report.iterations == 2 * len(levels)
+    assert np.all(np.isfinite(report.objective_trace))
+    for i, level in enumerate(levels):
+        assert level["newton_status"] == "non-finite result discarded: patched: nan"
+        assert level["fp_residual"] == report.objective_trace[2 * i]
+        assert report.objective_trace[2 * i + 1] == level["fp_residual"]
 
 
 def test_sine_instance_apriori_bounds_hold(sine_report):

@@ -59,6 +59,8 @@ def test_spec_validation():
         PlanningSpec(grid=g, m0=np.linspace(-0.1, 2.1, 8))  # negative nodes
     with pytest.raises(ValueError):
         PlanningSpec(grid=g, floor=2.0)  # floor above density minimum
+    with pytest.raises(ValueError, match="m0 must be finite and strictly positive"):
+        PlanningSpec(grid=g, m0=np.where(np.arange(8) == 3, np.nan, 1.0))
     spec = PlanningSpec(grid=g)
     assert spec.k0 == pytest.approx(1.0)
 

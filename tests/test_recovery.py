@@ -76,6 +76,17 @@ def test_degenerate_density_raises_with_node():
         recover(spec, PotentialPair(phi, np.zeros(g.nt)))
 
 
+def test_zero_density_raises_even_at_zero_floor():
+    # floor 0 admits no zero density: the slope inversion divides by it
+    g = Grid(3, 4, 1.0)
+    spec = PlanningSpec(grid=g, floor=0.0)
+    phi = g.zeros()
+    phi[1] = [0.25, 0.0, -0.25, 0.0]  # central difference -1 at x_index 1
+    with pytest.raises(ValueError,
+                       match=r"degenerate density at node \(t_index=1, x_index=1\)"):
+        recover(spec, PotentialPair(phi, np.zeros(g.nt)))
+
+
 def test_periodicity_defect_at_convergence():
     spec, report = solved_sine_instance(17, 16)
     defect = periodicity_defect(spec, report.pair)
