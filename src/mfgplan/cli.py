@@ -400,7 +400,9 @@ def parse_config(path) -> RunConfig:
             f"found {present or 'none'}"
         )
     seed = _integer(doc.get("seed", 0), "seed", lo=0)
-    output_dir = Path(doc.get("output_dir", "runs/latest"))
+    output_dir = doc.get("output_dir", "runs/latest")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"schema violation at output_dir: expected a path, got {output_dir!r}")
 
     block = doc[mode]
     if mode == "hughes":
@@ -414,7 +416,7 @@ def parse_config(path) -> RunConfig:
         else:
             spec = _target_from(block, grid, "validate")
     return RunConfig(schema_version=version, mode=mode, seed=seed,
-                     output_dir=output_dir, spec=spec, raw=doc)
+                     output_dir=Path(output_dir), spec=spec, raw=doc)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,9 @@ modes into banded matrices in t, solved exactly (:class:`~mfgplan.grid.ModeBande
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -176,11 +178,13 @@ class OperatorImage:
 # undivided difference stencils for the sixth-order quadratic form
 
 
+@lru_cache(maxsize=8)
 def _regularizer_bands(grid: Grid) -> np.ndarray:
     """:class:`ModeBanded` bands of ``R = sum_j0 Dt^j0' Dt^j0 (x) Dx^j1' Dx^j1``.
 
     Mode ``k`` sees ``sum_j0 lambda_k^(6-j0) T_j0``: ``lambda_k = 4 sin^2(pi k/nx)``
     is the symbol of ``Dx' Dx`` and ``T_j0`` the normal matrix of ``Dt^j0``.
+    Built once per grid and shared read-only.
     """
     nt = grid.nt
     lam = 4.0 * np.sin(np.pi * np.arange(grid.nx // 2 + 1) / grid.nx) ** 2
@@ -190,6 +194,7 @@ def _regularizer_bands(grid: Grid) -> np.ndarray:
         normal = diff.T @ diff
         for d in range(j0 + 1):
             bands[d, : nt - d] += np.diagonal(normal, -d)[:, None] * lam ** (6 - j0)
+    bands.flags.writeable = False
     return bands
 
 
@@ -201,14 +206,6 @@ def regularizer_apply(grid: Grid, phi: Field) -> Field:
 def regularizer_quadratic(grid: Grid, phi: Field) -> float:
     """Value of the sixth-difference quadratic form (no measure factor)."""
     return float(np.sum(phi * regularizer_apply(grid, phi)))
-
-
-def _inner_operator(spec: CongestionSpec, eps: float) -> ModeBanded:
-    """``eps (W + dt dx R)``: the row-constant weights keep the mode structure."""
-    g = spec.grid
-    bands = eps * g.dt * g.dx * _regularizer_bands(g)
-    bands[0] += eps * g.dx * time_weights(g)[:, None]
-    return ModeBanded(g, bands)
 
 
 # ---------------------------------------------------------------------------
@@ -287,63 +284,80 @@ def inner_phi_objective(spec: CongestionSpec, eps: float, f1: Field, phi: Field)
     return 0.5 * eps * (mass + reg) + float(np.sum(w * f1 * phi))
 
 
-def inner_phi_solve(spec: CongestionSpec, eps: float, pp0: PotentialPair) -> Field:
-    """Minimize the frozen-operator quadratic over the constraint set.
+@dataclass(frozen=True)
+class _Level:
+    """The systems of continuation level ``eps``, built and factored once.
 
-    Exact solve on the pinned/mean-free subspace (``eps (W + dt dx R)``
-    factored once per call), then a density repair if the floor
-    ``phi_x + 1 >= eps`` is violated.  The returned field never has a
-    larger objective than the time-linear interpolant of the boundary
-    slices (which is the fallback candidate).
+    ``view`` is the planning view with floor ``eps``, ``lift`` the zero field
+    carrying its pinned rows, ``interp`` its time-linear interpolant; ``op``
+    is ``eps (W + dt dx R)`` with its factored tangent-space ``solve``, ``ab``
+    the SPD tridiagonal q-block ``eps (M + K)`` (lower banded), ``wt`` is ``M``.
     """
-    return _phi_solve(spec, eps, apply_F(spec, pp0, eps=eps).f1)
+
+    eps: float
+    view: PlanningSpec
+    lift: Field
+    interp: Field
+    op: ModeBanded
+    solve: Callable[[Field], Field]
+    ab: np.ndarray
+    wt: TimeSeries
 
 
-def _phi_solve(spec: CongestionSpec, eps: float, f1: Field) -> Field:
-    """:func:`inner_phi_solve` given the frozen image ``F1(pp0)``."""
+def _level(spec: CongestionSpec, eps: float) -> _Level:
     g = spec.grid
-    pview = spec.planning_view(floor=eps)
-    lift = _lift(spec)
-    interp = initial_guess(pview).phi
-
-    op = _inner_operator(spec, eps)
-    phi = lift + op.solve(-(st_weights(g) * f1 + op.apply(lift)))
-
-    if np.min(dx_periodic(g, phi) + 1.0) < eps:
-        phi = clip_to_floor(pview, phi)
-    # the interpolant is always feasible; keep the better of the two so the
-    # published descent property holds even when the repair was engaged
-    if inner_phi_objective(spec, eps, f1, phi) > inner_phi_objective(spec, eps, f1, interp):
-        phi = interp
-    return phi
-
-
-def _q_system(spec: CongestionSpec, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """SPD tridiagonal matrix eps*(mass + stiffness) in banded storage."""
-    g = spec.grid
+    view = spec.planning_view(floor=eps)
+    lift = g.zeros()
+    lift[0], lift[-1] = boundary_slices(g, spec.m0, spec.mT)
     wt = time_weights(g)
+    bands = eps * g.dt * g.dx * _regularizer_bands(g)
+    bands[0] += eps * g.dx * wt[:, None]
+    op = ModeBanded(g, bands)
     diag = wt.copy()
     diag[:-1] += 1.0 / g.dt
     diag[1:] += 1.0 / g.dt
-    off = np.full(g.nt - 1, -1.0 / g.dt)
     ab = np.zeros((2, g.nt))
     ab[0] = eps * diag
-    ab[1, :-1] = eps * off
-    return ab, wt
+    ab[1, :-1] = eps * (-1.0 / g.dt)
+    return _Level(eps, view, lift, initial_guess(view).phi, op, op.factor(), ab, wt)
+
+
+def inner_phi_solve(spec: CongestionSpec, eps: float, pp0: PotentialPair) -> Field:
+    """Minimize the frozen-operator quadratic over the constraint set.
+
+    Exact solve on the pinned/mean-free subspace (``eps (W + dt dx R)``,
+    factored once per continuation level; this entry builds its own level),
+    then a density repair if the floor ``phi_x + 1 >= eps`` is violated.
+    The returned field never has a larger objective than the time-linear
+    interpolant of the boundary slices (which is the fallback candidate).
+    """
+    return _phi_solve(spec, _level(spec, eps), apply_F(spec, pp0, eps=eps).f1)
+
+
+def _phi_solve(spec: CongestionSpec, lvl: _Level, f1: Field) -> Field:
+    """:func:`inner_phi_solve` given the level and the frozen image ``F1(pp0)``."""
+    g, eps = spec.grid, lvl.eps
+    phi = lvl.lift + lvl.solve(-(st_weights(g) * f1 + lvl.op.apply(lvl.lift)))
+    if np.min(dx_periodic(g, phi) + 1.0) < eps:
+        phi = clip_to_floor(lvl.view, phi)
+    # the interpolant is always feasible; keep the better of the two so the
+    # published descent property holds even when the repair was engaged
+    if inner_phi_objective(spec, eps, f1, phi) > inner_phi_objective(spec, eps, f1, lvl.interp):
+        phi = lvl.interp
+    return phi
 
 
 def inner_q_solve(spec: CongestionSpec, eps: float, pp0: PotentialPair) -> TimeSeries:
     """Solve eps (q - q'') = -F2(pp0) with natural (Neumann) ends."""
-    return _q_solve(spec, eps, apply_F(spec, pp0, eps=eps).f2)
+    return _q_solve(_level(spec, eps), apply_F(spec, pp0, eps=eps).f2)
 
 
-def _q_solve(spec: CongestionSpec, eps: float, f2: TimeSeries) -> TimeSeries:
-    """:func:`inner_q_solve` given the frozen image ``F2(pp0)``."""
-    ab, wt = _q_system(spec, eps)
-    rhs = -wt * f2
-    q = solveh_banded(ab, rhs, lower=True)
+def _q_solve(lvl: _Level, f2: TimeSeries) -> TimeSeries:
+    """:func:`inner_q_solve` given the level and the frozen image ``F2(pp0)``."""
+    rhs = -lvl.wt * f2
+    q = solveh_banded(lvl.ab, rhs, lower=True)
     # direct solve on an SPD tridiagonal system; guard the residual anyway
-    resid = _tridiag_apply(ab, q) - rhs
+    resid = _tridiag_apply(lvl.ab, q) - rhs
     denom = max(float(np.max(np.abs(rhs))), 1.0)
     if float(np.max(np.abs(resid))) > 1e-10 * denom:
         raise RuntimeError("tridiagonal solve residual above tolerance")
@@ -351,28 +365,17 @@ def _q_solve(spec: CongestionSpec, eps: float, f2: TimeSeries) -> TimeSeries:
 
 
 def _tridiag_apply(ab: np.ndarray, q: TimeSeries) -> TimeSeries:
-    d = ab[0]
-    o = ab[1, :-1]
-    out = d * q
-    out[:-1] += o * q[1:]
-    out[1:] += o * q[:-1]
+    out = ab[0] * q
+    out[:-1] += ab[1, :-1] * q[1:]
+    out[1:] += ab[1, :-1] * q[:-1]
     return out
 
 
-def _sweep_residual(spec: CongestionSpec, eps: float, pp: PotentialPair) -> float:
+def _sweep_residual(spec: CongestionSpec, lvl: _Level, pp: PotentialPair) -> float:
     """Sup-norm distance of ``pp`` from its inner-solver sweep ``S(pp)`` (one ``apply_F``)."""
-    img = apply_F(spec, pp, eps=eps)
-    phi, q = _phi_solve(spec, eps, img.f1), _q_solve(spec, eps, img.f2)
+    img = apply_F(spec, pp, eps=lvl.eps)
+    phi, q = _phi_solve(spec, lvl, img.f1), _q_solve(lvl, img.f2)
     return max(float(np.max(np.abs(phi - pp.phi))), float(np.max(np.abs(q - pp.q))))
-
-
-def _lift(spec: CongestionSpec) -> Field:
-    """Zero field carrying the two pinned boundary rows."""
-    g = spec.grid
-    s0, sT = boundary_slices(g, spec.m0, spec.mT)
-    out = np.zeros((g.nt, g.nx))
-    out[0], out[-1] = s0, sT
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +444,7 @@ def apriori_diagnostics(spec: CongestionSpec, eps: float, pp: PotentialPair) -> 
 
 
 def _newton_polish(
-    spec: CongestionSpec, eps: float, pp: PotentialPair
+    spec: CongestionSpec, lvl: _Level, pp: PotentialPair
 ) -> tuple[PotentialPair, str, int]:
     """Newton-Krylov on the stationarity system of the regularized problem.
 
@@ -462,17 +465,14 @@ def _newton_polish(
     returned).  The caller always re-verifies the result with a genuine
     inner-solver sweep.
     """
-    g = spec.grid
+    g, eps = spec.grid, lvl.eps
     n_phi = g.nt * g.nx
-    lift = _lift(spec)
     w = st_weights(g)
     scale = g.dt * g.dx
-    op = _inner_operator(spec, eps)
-    ab, wt = _q_system(spec, eps)
     floored = [0]
 
     def unpack(v: np.ndarray) -> PotentialPair:
-        phi = lift + project_tangent(g, v[:n_phi].reshape(g.nt, g.nx))
+        phi = lvl.lift + project_tangent(g, v[:n_phi].reshape(g.nt, g.nx))
         return PotentialPair(phi, v[n_phi:])
 
     def residual(v: np.ndarray) -> np.ndarray:
@@ -481,8 +481,8 @@ def _newton_polish(
         low = y < eps
         floored[0] += int(np.count_nonzero(low))
         img = _images(spec, np.where(low, eps, y), z)
-        r_phi = project_tangent(g, op.apply(p.phi) + w * img.f1) / scale
-        r_q = (_tridiag_apply(ab, p.q) + wt * img.f2) / g.dt
+        r_phi = project_tangent(g, lvl.op.apply(p.phi) + w * img.f1) / scale
+        r_q = (_tridiag_apply(lvl.ab, p.q) + lvl.wt * img.f2) / g.dt
         return np.concatenate([r_phi.ravel(), r_q])
 
     x0 = np.concatenate([project_tangent(g, pp.phi).ravel(), pp.q])
@@ -504,7 +504,7 @@ def _newton_polish(
         return pp, f"non-finite result discarded: {sol.message}", floored[0]
     cand = unpack(sol.x)
     if np.min(dx_periodic(g, cand.phi) + 1.0) < eps:
-        cand = PotentialPair(clip_to_floor(spec.planning_view(floor=eps), cand.phi), cand.q)
+        cand = PotentialPair(clip_to_floor(lvl.view, cand.phi), cand.q)
     return cand, "converged" if sol.success else str(sol.message), floored[0]
 
 
@@ -568,24 +568,23 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
     residual (at most two per level); ``converged`` means every level met
     ``tol_fp``.
     """
-    g = spec.grid
     t_start = time.perf_counter()
-    pp = PotentialPair(initial_guess(spec.planning_view(floor=spec.k0 * 0.5)).phi,
-                       np.zeros(g.nt))
+    pp = initial_guess(spec.planning_view(floor=spec.k0 * 0.5))
 
     trace: list[float] = []
     per_eps: list[dict] = []
     floored_total = 0
 
     for eps in spec.eps_schedule:
-        pp = PotentialPair(clip_to_floor(spec.planning_view(floor=eps), pp.phi), pp.q)
-        resid = _sweep_residual(spec, eps, pp)
+        lvl = _level(spec, eps)
+        pp = PotentialPair(clip_to_floor(lvl.view, pp.phi), pp.q)
+        resid = _sweep_residual(spec, lvl, pp)
         residuals = [resid]
         newton_status = None
         if resid > spec.tol_fp:
-            cand, newton_status, floored = _newton_polish(spec, eps, pp)
+            cand, newton_status, floored = _newton_polish(spec, lvl, pp)
             floored_total += floored
-            residuals.append(_sweep_residual(spec, eps, cand))
+            residuals.append(_sweep_residual(spec, lvl, cand))
             if residuals[-1] < resid:
                 pp, resid = cand, residuals[-1]
         trace.extend(residuals)

@@ -255,10 +255,11 @@ class ModeBanded:
 
     ``bands[d, i, k] = A_k[i + d, i]`` (scipy's lower banded storage, shape
     ``(bandwidth + 1, nt, nx // 2 + 1)``) is the t-matrix acting on mode ``k``
-    of the real FFT along x.  :meth:`factor` inverts on the tangent space of
-    :func:`mfgplan.planning.project_tangent`, which drops mode 0 and the end
-    rows and leaves the interior of each ``A_k`` (one banded Cholesky each,
-    computed once and reused by every solve).
+    of the real FFT along x.  :meth:`factor`, the one solve path, inverts on
+    the tangent space of :func:`mfgplan.planning.project_tangent`, which drops
+    mode 0 and the end rows and leaves the interior of each ``A_k`` (one banded
+    Cholesky each; the planning metric is factored once per ``minimize``, each
+    congestion phi system once per continuation level).
     """
 
     grid: Grid
@@ -296,7 +297,3 @@ class ModeBanded:
             return np.fft.irfft(out, n=self.grid.nx, axis=1)
 
         return solve
-
-    def solve(self, rhs: Field) -> Field:
-        """``self.factor()(rhs)``: one solve with a fresh factorization."""
-        return self.factor()(rhs)

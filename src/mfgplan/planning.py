@@ -375,7 +375,7 @@ def random_feasible_pair(
     return PotentialPair(phi=base.phi + scale * noise, q=q)
 
 
-def _build_preconditioner(spec: PlanningSpec):
+def _build_preconditioner(spec: PlanningSpec, lpp: float, gp1: float):
     """Inverse of the constant-coefficient Hessian block at the uniform state.
 
     At the uniform density the phi-Hessian diagonalizes over spatial Fourier
@@ -390,13 +390,13 @@ def _build_preconditioner(spec: PlanningSpec):
     and ``lap_k^2``, so the ``A_k`` are stored as :class:`ModeBanded` bands
     and Cholesky-factored once per mode (:meth:`ModeBanded.factor`); the
     solve drops the pinned rows and the zero mode (both outside the feasible
-    tangent space).  Returns the factored solve, a callable mapping a plain
-    l2 phi-gradient to a descent direction.
+    tangent space).  ``(lpp, gp1)`` are :func:`_curvatures`.  Returns the
+    factored solve, a callable mapping a plain l2 phi-gradient to a descent
+    direction.
     """
     g = spec.grid
     wt = time_weights(g)
     mt = time_stencil_matrix(g)
-    lpp, gp1 = _curvatures(spec)
 
     ks = np.arange(g.nx // 2 + 1)
     s2 = (np.sin(2.0 * np.pi * ks / g.nx) / g.dx) ** 2
@@ -470,7 +470,8 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
     trace = [f]
     dens_trace = [float(np.min(terms[1]))]
 
-    precondition = _build_preconditioner(spec)
+    lpp, gp1 = _curvatures(spec)
+    precondition = _build_preconditioner(spec, lpp, gp1)
     w_field = st_weights(g)
     wt = time_weights(g)
 
@@ -530,7 +531,6 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
         gnorm = _sup_norm(gphi, gq)
         converged = gnorm <= spec.tol
 
-    lpp, gp1 = _curvatures(spec)
     symbol = (4.0 / g.dx**2) ** 2 * lpp if spec.order else (2.0 / g.dt) ** 2 * lpp + gp1 / g.dx**2
     floor_estimate = float(np.finfo(float).eps * np.max(np.abs(phi)) * symbol)
     stall_reason = "rounding_floor" if gnorm <= floor_estimate else "stalled"

@@ -214,6 +214,16 @@ def test_nonfinite_number_is_range_violation(tmp_path, value):
         parse_config(write_config(tmp_path, doc))
 
 
+@pytest.mark.parametrize("command", ["solve", "validate"])
+@pytest.mark.parametrize("value", [5, ["a", "b"]])
+def test_output_dir_must_be_a_path(tmp_path, capsys, command, value):
+    path = write_config(tmp_path, planning_doc(output_dir=value))
+    with pytest.raises(ConfigError, match=r"schema violation at output_dir: expected a path"):
+        parse_config(path)
+    assert main([command, str(path), "--quiet"]) == 1
+    assert "error: schema violation at output_dir" in capsys.readouterr().err
+
+
 def test_congestion_schedule_must_be_list(tmp_path):
     doc = {
         "schema_version": 1,

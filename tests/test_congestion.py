@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import mfgplan.congestion as congestion
 from mfgplan.congestion import (
     CongestionSpec,
-    _lift,
+    _level,
     _newton_polish,
     apply_F,
     inner_phi_objective,
@@ -23,7 +23,7 @@ from mfgplan.congestion import (
     weak_certificate,
     young_sup,
 )
-from mfgplan.grid import Grid, dx_periodic, st_weights, time_weights
+from mfgplan.grid import Grid, ModeBanded, dx_periodic, st_weights, time_weights
 from mfgplan.planning import (
     PotentialPair,
     initial_guess,
@@ -217,6 +217,17 @@ def test_inner_q_constant_forcing_has_analytic_solution():
     assert qbar == pytest.approx(np.full(g.nt, -0.7 / eps), abs=1e-9)
 
 
+def test_q_solve_guards_the_tridiagonal_residual(monkeypatch):
+    spec = sine_spec()
+    eps = 0.01
+    pp = PotentialPair(initial_guess(spec.planning_view(floor=eps)).phi, np.zeros(spec.grid.nt))
+    inner_q_solve(spec, eps, pp)  # the exact banded solve passes the guard
+    solve = congestion.solveh_banded
+    monkeypatch.setattr(congestion, "solveh_banded", lambda *a, **kw: solve(*a, **kw) + 1.0)
+    with pytest.raises(RuntimeError, match="tridiagonal solve residual above tolerance"):
+        inner_q_solve(spec, eps, pp)
+
+
 def test_inner_q_solution_satisfies_assembled_system():
     spec = sine_spec()
     g = spec.grid
@@ -319,7 +330,7 @@ def test_inner_phi_solves_projected_system(nt, nx):
     def op(v):
         return eps * (w * v + g.dt * g.dx * roll_regularizer(v))
 
-    lift = _lift(spec)
+    lift = _level(spec, eps).lift
     u = inner_phi_solve(spec, eps, pp0) - lift
     assert np.max(np.abs(u - project_tangent(g, u))) <= 1e-14
     rhs = -project_tangent(g, w * f1 + op(lift))
@@ -378,6 +389,25 @@ def test_newton_status_recorded_per_level(sine_report):
             assert level["newton_status"] is None
 
 
+def test_solve_factors_once_per_level_and_builds_bands_once(monkeypatch):
+    factors = []
+    factor = ModeBanded.factor
+
+    def counted(op):
+        factors.append(1)
+        return factor(op)
+
+    monkeypatch.setattr(ModeBanded, "factor", counted)
+    congestion._regularizer_bands.cache_clear()
+    report = solve_congestion(sine_spec(alpha=0.5, mu=1.0))
+    levels = report.diagnostics["per_eps"]
+    assert len(levels) == 11 and any(level["used_newton"] for level in levels)
+    # both sweeps of a level, its Newton-Krylov solve and its floor clip share
+    # one factored system; the sixth-difference bands depend on the grid alone
+    assert len(factors) == len(levels)
+    assert congestion._regularizer_bands.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("exc", [ValueError("nan in trial"), np.linalg.LinAlgError("singular")])
 def test_newton_polish_reports_bad_trial_errors(monkeypatch, exc):
     spec = sine_spec()
@@ -388,7 +418,7 @@ def test_newton_polish_reports_bad_trial_errors(monkeypatch, exc):
         raise exc
 
     monkeypatch.setattr(congestion, "root", failing_root)
-    cand, status, floored = _newton_polish(spec, eps, pp)
+    cand, status, floored = _newton_polish(spec, _level(spec, eps), pp)
     assert cand is pp and floored == 0
     assert status == f"{type(exc).__name__}: {exc}"
 
@@ -403,7 +433,7 @@ def test_newton_polish_propagates_unexpected_errors(monkeypatch):
 
     monkeypatch.setattr(congestion, "root", broken_root)
     with pytest.raises(KeyError):
-        _newton_polish(spec, eps, pp)
+        _newton_polish(spec, _level(spec, eps), pp)
 
 
 def test_failed_newton_candidate_is_rejected(monkeypatch):

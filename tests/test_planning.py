@@ -293,7 +293,7 @@ def test_preconditioner_matches_dense_per_mode_cholesky(order, nx, power):
     if power:  # L''(0) = 1/H''(0) = 2/3 and g'(1) = 3/2 reach both coefficients
         assert lpp == pytest.approx(2.0 / 3.0, rel=1e-6)
         assert gp1 == pytest.approx(1.5, rel=1e-6)
-    out = _build_preconditioner(spec)(rhs)
+    out = _build_preconditioner(spec, *planning_module._curvatures(spec))(rhs)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -363,6 +363,21 @@ def test_minimize_inverts_full_grid_slopes_once_per_trial_point(monkeypatch):
     # the start plus one trial per iteration plus one per backtrack; the
     # gradient of each accepted point reuses its trial's slopes
     assert len(full) == 1 + report.iterations + report.diagnostics["backtracks"]
+
+
+def test_minimize_computes_curvatures_once(monkeypatch):
+    calls = []
+    curvatures = planning_module._curvatures
+
+    def counted(spec):
+        calls.append(1)
+        return curvatures(spec)
+
+    monkeypatch.setattr(planning_module, "_curvatures", counted)
+    report = minimize(sine_spec(nt=17, nx=16, model=_model("power")))
+    assert report.iterations > 0
+    # the preconditioner and the rounding-floor estimate share one pair
+    assert len(calls) == 1
 
 
 def _refinement_spec(nt: int, nx: int) -> PlanningSpec:
