@@ -1,9 +1,10 @@
 """Congestion exponent sweep: continuation diagnostics and certificates.
 
 For each alpha, runs the regularized fixed point on the sin-perturbed
-instance and reports the per-level iteration counts, the final residual,
-the weak-solution pairing minimum over random test pairs, and the
-a-priori integral bounds at the final level.
+instance and reports the per-level iteration counts, the Newton-Krylov
+residual evaluations summed over the levels, the final residual, the
+weak-solution pairing minimum over random test pairs, and the a-priori
+integral bounds at the final level.
 
     python3 scripts/congestion_sweep.py [--alphas 0.5 1.0 1.5] [--nx 24 --nt 13]
 """
@@ -36,10 +37,12 @@ def main():
         levels = d["per_eps"]
         iters = "/".join(str(lv["iterations"]) for lv in levels)
         newton = sum(lv["used_newton"] for lv in levels)
+        evals = sum(lv["newton_residual_evals"] for lv in levels)
         print(f"alpha={alpha:4.2f}  converged={rep.converged}  "
               f"fp_residual={d['fp_residual_sup']:.2e}  "
               f"min_density={d['min_density']:.4f}  "
-              f"iters_per_level={iters}  newton_levels={newton}")
+              f"iters_per_level={iters}  newton_levels={newton}  "
+              f"residual_evals={evals}")
 
         final = levels[-1]
         print(f"            apriori: mu_energy={final['mu_energy']:.4f}  "

@@ -18,7 +18,10 @@ decreasing ``eps`` schedule, warm-starting each level.  A level whose start
 already passes one sweep of ``S`` is accepted (the trivial instance is
 exact in one sweep); otherwise Newton-Krylov solves the stationarity system
 from the start.  Iterating ``S`` itself does not pay: its local Lipschitz
-constant is on the order of ``1/eps`` on any nontrivial instance.
+constant is on the order of ``1/eps`` on any nontrivial instance.  The
+Krylov solves are preconditioned by the level's system linearised at the
+uniform state, which adds the planning metric (``L'' = 1``, ``g' = mu``) to
+the phi block and ``M`` to the q block.
 
 The sixth-order form uses *undivided* difference stencils: one factor of
 ``Delta_t^j0 Delta_x^j1`` per multi-index with ``j0 + j1 = 6``, windows
@@ -27,8 +30,9 @@ weakly through the quadratic form).  Undivided stencils keep the form
 O(1) on the roughest grid modes instead of O(1/h^12), which is all the
 regularization role requires; divided stencils would make the inner
 systems numerically unsolvable at these grid sizes.  Circulant x factors
-and row-constant weights split the phi inner system over spatial Fourier
-modes into banded matrices in t, solved exactly (:class:`~mfgplan.grid.ModeBanded`).
+and row-constant weights split the phi inner system and the preconditioner's
+phi block over spatial Fourier modes into banded matrices in t, each
+factored once per level (:class:`~mfgplan.grid.ModeBanded`, :func:`_level`).
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solveh_banded
 from scipy.optimize import root
+from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import cg  # noqa: F401  (perfbench/tracing.py spans congestion.cg by name)
 
 from .grid import (
@@ -60,7 +65,7 @@ from .planning import (
     PlanningSpec,
     PotentialPair,
     SolveReport,
-    boundary_slices,
+    _metric_bands,
     check_density,
     check_marginal,
     clip_to_floor,
@@ -292,6 +297,9 @@ class _Level:
     carrying its pinned rows, ``interp`` its time-linear interpolant; ``op``
     is ``eps (W + dt dx R)`` with its factored tangent-space ``solve``, ``ab``
     the SPD tridiagonal q-block ``eps (M + K)`` (lower banded), ``wt`` is ``M``.
+    ``precondition`` applies the inverse of the Newton-Krylov Jacobian at the
+    uniform state (:func:`_newton_polish`).  ``interp`` does not depend on
+    ``eps``, so :func:`solve_congestion` passes one to every level.
     """
 
     eps: float
@@ -302,24 +310,40 @@ class _Level:
     solve: Callable[[Field], Field]
     ab: np.ndarray
     wt: TimeSeries
+    precondition: Callable[[np.ndarray], np.ndarray]
 
 
-def _level(spec: CongestionSpec, eps: float) -> _Level:
-    g = spec.grid
-    view = spec.planning_view(floor=eps)
-    lift = g.zeros()
-    lift[0], lift[-1] = boundary_slices(g, spec.m0, spec.mT)
-    wt = time_weights(g)
-    bands = eps * g.dt * g.dx * _regularizer_bands(g)
-    bands[0] += eps * g.dx * wt[:, None]
-    op = ModeBanded(g, bands)
-    diag = wt.copy()
+def _q_block(g: Grid, eps: float) -> np.ndarray:
+    """``eps (M + K)`` in lower banded storage: trapezoid mass plus Neumann stiffness."""
+    diag = time_weights(g)
     diag[:-1] += 1.0 / g.dt
     diag[1:] += 1.0 / g.dt
     ab = np.zeros((2, g.nt))
     ab[0] = eps * diag
     ab[1, :-1] = eps * (-1.0 / g.dt)
-    return _Level(eps, view, lift, initial_guess(view).phi, op, op.factor(), ab, wt)
+    return ab
+
+
+def _level(spec: CongestionSpec, eps: float, interp: Field | None = None) -> _Level:
+    g = spec.grid
+    view = spec.planning_view(floor=eps)
+    interp = initial_guess(view).phi if interp is None else interp
+    lift = g.zeros()
+    lift[0], lift[-1] = interp[0], interp[-1]
+    wt = time_weights(g)
+    bands = eps * g.dt * g.dx * _regularizer_bands(g)
+    bands[0] += eps * g.dx * wt[:, None]
+    op = ModeBanded(g, bands)
+    ab = _q_block(g, eps)
+    lin = bands.copy()  # W F1 linearised at y = 1, z = 0: the planning metric, L'' = 1, g' = mu
+    lin[:3] += _metric_bands(g, 0, 1.0, spec.mu)
+    phi_block, q_block = ModeBanded(g, lin).factor(), np.vstack([ab[0] + wt, ab[1]])
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        phi = phi_block(g.dt * g.dx * r[: g.nt * g.nx].reshape(g.nt, g.nx))
+        return np.append(phi, solveh_banded(q_block, g.dt * r[phi.size :], lower=True))
+
+    return _Level(eps, view, lift, interp, op, op.factor(), ab, wt, precondition)
 
 
 def inner_phi_solve(spec: CongestionSpec, eps: float, pp0: PotentialPair) -> Field:
@@ -349,15 +373,16 @@ def _phi_solve(spec: CongestionSpec, lvl: _Level, f1: Field) -> Field:
 
 def inner_q_solve(spec: CongestionSpec, eps: float, pp0: PotentialPair) -> TimeSeries:
     """Solve eps (q - q'') = -F2(pp0) with natural (Neumann) ends."""
-    return _q_solve(_level(spec, eps), apply_F(spec, pp0, eps=eps).f2)
+    g = spec.grid
+    return _q_solve(_q_block(g, eps), time_weights(g), apply_F(spec, pp0, eps=eps).f2)
 
 
-def _q_solve(lvl: _Level, f2: TimeSeries) -> TimeSeries:
-    """:func:`inner_q_solve` given the level and the frozen image ``F2(pp0)``."""
-    rhs = -lvl.wt * f2
-    q = solveh_banded(lvl.ab, rhs, lower=True)
+def _q_solve(ab: np.ndarray, wt: TimeSeries, f2: TimeSeries) -> TimeSeries:
+    """:func:`inner_q_solve` given the q-block, ``M`` and the frozen image ``F2(pp0)``."""
+    rhs = -wt * f2
+    q = solveh_banded(ab, rhs, lower=True)
     # direct solve on an SPD tridiagonal system; guard the residual anyway
-    resid = _tridiag_apply(lvl.ab, q) - rhs
+    resid = _tridiag_apply(ab, q) - rhs
     denom = max(float(np.max(np.abs(rhs))), 1.0)
     if float(np.max(np.abs(resid))) > 1e-10 * denom:
         raise RuntimeError("tridiagonal solve residual above tolerance")
@@ -374,7 +399,7 @@ def _tridiag_apply(ab: np.ndarray, q: TimeSeries) -> TimeSeries:
 def _sweep_residual(spec: CongestionSpec, lvl: _Level, pp: PotentialPair) -> float:
     """Sup-norm distance of ``pp`` from its inner-solver sweep ``S(pp)`` (one ``apply_F``)."""
     img = apply_F(spec, pp, eps=lvl.eps)
-    phi, q = _phi_solve(spec, lvl, img.f1), _q_solve(lvl, img.f2)
+    phi, q = _phi_solve(spec, lvl, img.f1), _q_solve(lvl.ab, lvl.wt, img.f2)
     return max(float(np.max(np.abs(phi - pp.phi))), float(np.max(np.abs(q - pp.q))))
 
 
@@ -405,18 +430,27 @@ def apriori_diagnostics(spec: CongestionSpec, eps: float, pp: PotentialPair) -> 
     inequalities with closed-form suprema.  Only the first two integrals
     are covered by that constant; the third is reported without a bound.
     """
-    g = spec.grid
-    pp0 = initial_guess(spec.planning_view(floor=min(eps, spec.k0 * 0.5)))
-    z0, y0 = potential_fields(g, pp0, 0)
+    return _apriori(spec, eps, pp, *_interpolant_constants(spec)[1:])
 
-    k1 = float(np.max(y0))
-    m_sq = float(np.max(np.abs(z0))) ** 2
-    c1 = young_sup(k1, spec.mu, spec.mu)
-    c2 = young_sup(m_sq / spec.k0, spec.alpha, spec.mu)
+
+def _interpolant_constants(spec: CongestionSpec) -> tuple[PotentialPair, float, float]:
+    """The interpolant (floor-independent), its energy ``r0`` and the Young constant ``c1 + c2``."""
+    g = spec.grid
+    pp0 = initial_guess(spec.planning_view(floor=spec.k0 * 0.5))
+    z0, y0 = potential_fields(g, pp0, 0)
+    c1 = young_sup(float(np.max(y0)), spec.mu, spec.mu)
+    c2 = young_sup(float(np.max(np.abs(z0))) ** 2 / spec.k0, spec.alpha, spec.mu)
     w = st_weights(g)
     r0 = float(np.sum(w * pp0.phi * pp0.phi)) + g.dt * g.dx * regularizer_quadratic(g, pp0.phi)
-    bound = 2.0 * (0.5 * eps * r0 + g.horizon * (c1 + c2))
+    return pp0, r0, c1 + c2
 
+
+def _apriori(spec: CongestionSpec, eps: float, pp: PotentialPair, r0: float, young: float) -> dict:
+    """:func:`apriori_diagnostics` given the last two :func:`_interpolant_constants`."""
+    g = spec.grid
+    bound = 2.0 * (0.5 * eps * r0 + g.horizon * young)
+
+    w = st_weights(g)
     y = potential_fields(g, pp, 0)[1]
     mu_energy = float(integrate_xt(g, y ** (spec.mu + 1.0)))
     e_phi = float(np.sum(w * pp.phi**2)) + g.dt * g.dx * regularizer_quadratic(g, pp.phi)
@@ -444,9 +478,9 @@ def apriori_diagnostics(spec: CongestionSpec, eps: float, pp: PotentialPair) -> 
 
 
 def _newton_polish(
-    spec: CongestionSpec, lvl: _Level, pp: PotentialPair
+    spec: CongestionSpec, lvl: _Level, pp: PotentialPair, counts: dict | None = None
 ) -> tuple[PotentialPair, str, int]:
-    """Newton-Krylov on the stationarity system of the regularized problem.
+    """Preconditioned Newton-Krylov on the stationarity system of the level.
 
     The fixed points of the inner-solver sweep are exactly the zeros of
 
@@ -455,37 +489,44 @@ def _newton_polish(
 
     with phi = lift + P psi parametrized over the unconstrained field psi
     (P the tangent projection, lift the pinned rows), provided the density
-    floor is inactive at the solution.  Solving this directly makes each
-    Krylov evaluation one operator application instead of one full inner
-    sweep.  Trial points may dip below the floor, so the power fields
-    are evaluated with their bases floored at eps and every floored node
-    is counted; the count is returned for reporting, with a status:
-    ``"converged"``, scipy's message, or the error a bad trial point raised
-    or the reason a non-finite result was discarded (``pp`` is then
-    returned).  The caller always re-verifies the result with a genuine
-    inner-solver sweep.
+    floor is inactive at the solution.  Each Krylov evaluation is one
+    operator application.  The inner Krylov solves are preconditioned by
+    ``lvl.precondition`` (physics-based, Knoll & Keyes 2004): this system's
+    Jacobian at the uniform state ``y = 1, z = 0`` without its phi-q coupling,
+    ``eps (W + dtdx R) + dx (M_t' W_t M_t + mu s_k^2 W_t)`` per x-mode and
+    ``eps (M + K) + M``, built by :func:`_level` and the first factored there
+    once.  Trial points may dip below the floor, so the power fields are
+    evaluated with their bases floored at eps.  Returns the candidate, a
+    status (``"converged"``, scipy's message, or the error a bad trial point
+    raised or why a non-finite result was discarded, ``pp`` then being
+    returned) and the floored-node count.  ``counts``, if given, receives
+    ``newton_nit`` (``None`` if the solve raised), ``newton_residual_evals``
+    and ``newton_floored_nodes``.  The caller re-verifies with a sweep.
     """
     g, eps = spec.grid, lvl.eps
     n_phi = g.nt * g.nx
     w = st_weights(g)
     scale = g.dt * g.dx
-    floored = [0]
+    counts = {} if counts is None else counts
+    counts.update(newton_nit=None, newton_residual_evals=0, newton_floored_nodes=0)
 
     def unpack(v: np.ndarray) -> PotentialPair:
         phi = lvl.lift + project_tangent(g, v[:n_phi].reshape(g.nt, g.nx))
         return PotentialPair(phi, v[n_phi:])
 
     def residual(v: np.ndarray) -> np.ndarray:
+        counts["newton_residual_evals"] += 1
         p = unpack(v)
         z, y = potential_fields(g, p, 0)
         low = y < eps
-        floored[0] += int(np.count_nonzero(low))
+        counts["newton_floored_nodes"] += int(np.count_nonzero(low))
         img = _images(spec, np.where(low, eps, y), z)
         r_phi = project_tangent(g, lvl.op.apply(p.phi) + w * img.f1) / scale
         r_q = (_tridiag_apply(lvl.ab, p.q) + lvl.wt * img.f2) / g.dt
         return np.concatenate([r_phi.ravel(), r_q])
 
     x0 = np.concatenate([project_tangent(g, pp.phi).ravel(), pp.q])
+    inner_m = LinearOperator((x0.size, x0.size), matvec=lvl.precondition, dtype=float)
     try:
         sol = root(
             residual,
@@ -495,17 +536,18 @@ def _newton_polish(
                 "fatol": 1e-10,
                 "maxiter": 200,
                 "disp": False,
-                "jac_options": {"inner_maxiter": 40},
+                "jac_options": {"inner_maxiter": 40, "inner_M": inner_m},
             },
         )
     except (ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        return pp, f"{type(exc).__name__}: {exc}", floored[0]
+        return pp, f"{type(exc).__name__}: {exc}", counts["newton_floored_nodes"]
+    counts["newton_nit"] = getattr(sol, "nit", None)
     if not np.all(np.isfinite(sol.x)):
-        return pp, f"non-finite result discarded: {sol.message}", floored[0]
+        return pp, f"non-finite result discarded: {sol.message}", counts["newton_floored_nodes"]
     cand = unpack(sol.x)
     if np.min(dx_periodic(g, cand.phi) + 1.0) < eps:
         cand = PotentialPair(clip_to_floor(lvl.view, cand.phi), cand.q)
-    return cand, "converged" if sol.success else str(sol.message), floored[0]
+    return cand, "converged" if sol.success else str(sol.message), counts["newton_floored_nodes"]
 
 
 def recover_congestion(spec: CongestionSpec, pp: PotentialPair) -> MFGSolution:
@@ -566,30 +608,32 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
     candidate has the lower verified residual, so a failed solve never
     poisons the continuation.  The report's trace carries every verified
     residual (at most two per level); ``converged`` means every level met
-    ``tol_fp``.
+    ``tol_fp``.  Each level also reports its Newton-Krylov counts (see
+    :func:`_newton_polish`; ``None`` and zeros when no solve ran).
     """
     t_start = time.perf_counter()
-    pp = initial_guess(spec.planning_view(floor=spec.k0 * 0.5))
+    pp, r0, young = _interpolant_constants(spec)
+    interp = pp.phi
 
     trace: list[float] = []
     per_eps: list[dict] = []
-    floored_total = 0
 
     for eps in spec.eps_schedule:
-        lvl = _level(spec, eps)
+        lvl = _level(spec, eps, interp)
         pp = PotentialPair(clip_to_floor(lvl.view, pp.phi), pp.q)
         resid = _sweep_residual(spec, lvl, pp)
         residuals = [resid]
         newton_status = None
+        counts = {"newton_nit": None, "newton_residual_evals": 0, "newton_floored_nodes": 0}
         if resid > spec.tol_fp:
-            cand, newton_status, floored = _newton_polish(spec, lvl, pp)
-            floored_total += floored
+            cand, newton_status, _ = _newton_polish(spec, lvl, pp, counts)
             residuals.append(_sweep_residual(spec, lvl, cand))
             if residuals[-1] < resid:
                 pp, resid = cand, residuals[-1]
         trace.extend(residuals)
-        level_diag = apriori_diagnostics(spec, eps, pp)
+        level_diag = _apriori(spec, eps, pp, r0, young)
         level_diag.update(
+            **counts,
             eps=eps,
             iterations=len(residuals),
             fp_residual=resid,
@@ -604,7 +648,7 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
     diagnostics = {
         "per_eps": per_eps,
         "fp_residual_sup": fp_residual,
-        "floored_nodes": floored_total,
+        "floored_nodes": sum(level["newton_floored_nodes"] for level in per_eps),
         "kappa": spec.kappa,
         "kappa_alternate": spec.kappa_alternate,
         "min_density": float(np.min(solution.m)),

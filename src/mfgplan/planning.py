@@ -394,13 +394,17 @@ def _build_preconditioner(spec: PlanningSpec, lpp: float, gp1: float):
     factored solve, a callable mapping a plain l2 phi-gradient to a descent
     direction.
     """
-    g = spec.grid
+    return ModeBanded(spec.grid, _metric_bands(spec.grid, spec.order, lpp, gp1)).factor()
+
+
+def _metric_bands(g: Grid, order: int, lpp: float, gp1: float) -> np.ndarray:
+    """The bands of the ``A_k`` of :func:`_build_preconditioner`, unfactored."""
     wt = time_weights(g)
     mt = time_stencil_matrix(g)
 
     ks = np.arange(g.nx // 2 + 1)
     s2 = (np.sin(2.0 * np.pi * ks / g.nx) / g.dx) ** 2
-    lap = spec.order * 4.0 * np.sin(np.pi * ks / g.nx) ** 2 / g.dx**2
+    lap = order * 4.0 * np.sin(np.pi * ks / g.nx) ** 2 / g.dx**2
 
     mw = mt.T * wt  # M^T W_t
     terms = (mw @ mt, mw + mw.T, np.diag(wt))  # weights 1, lap_k, lap_k^2
@@ -409,7 +413,7 @@ def _build_preconditioner(spec: PlanningSpec, lpp: float, gp1: float):
         for power, term in enumerate(terms):
             bands[d, : g.nt - d] += lpp * np.diagonal(term, -d)[:, None] * lap**power
     bands[0] += gp1 * wt[:, None] * s2
-    return ModeBanded(g, g.dx * bands).factor()
+    return g.dx * bands
 
 
 def _curvatures(spec: PlanningSpec) -> tuple[float, float]:

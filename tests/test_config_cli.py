@@ -365,6 +365,26 @@ def test_starved_congestion_flags_nonconvergence(tmp_path):
     assert report["converged"] is False
 
 
+def test_congestion_report_counts_newton_work_per_level(tmp_path):
+    doc = {
+        "schema_version": 1,
+        "mode": "congestion",
+        "output_dir": str(tmp_path / "out"),
+        "grid": {"nt": 7, "nx": 8},
+        "congestion": {"m0": {"type": "sine", "amplitude": 0.1, "mode": 1}, "mT": "uniform"},
+    }
+    cfg = parse_config(write_config(tmp_path, doc))
+    assert run(cfg, quiet=True) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    levels = report["diagnostics"]["per_eps"]
+    assert any(level["used_newton"] for level in levels)
+    for level in levels:
+        if level["used_newton"]:
+            assert level["newton_nit"] > 0 and level["newton_residual_evals"] > 0
+        else:
+            assert level["newton_nit"] is None and level["newton_residual_evals"] == 0
+
+
 @pytest.mark.parametrize(
     "model",
     [

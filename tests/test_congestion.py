@@ -13,6 +13,7 @@ from mfgplan.congestion import (
     _level,
     _newton_polish,
     apply_F,
+    apriori_diagnostics,
     inner_phi_objective,
     inner_phi_solve,
     inner_q_solve,
@@ -403,9 +404,107 @@ def test_solve_factors_once_per_level_and_builds_bands_once(monkeypatch):
     levels = report.diagnostics["per_eps"]
     assert len(levels) == 11 and any(level["used_newton"] for level in levels)
     # both sweeps of a level, its Newton-Krylov solve and its floor clip share
-    # one factored system; the sixth-difference bands depend on the grid alone
-    assert len(factors) == len(levels)
+    # one factored system, and its Newton-Krylov preconditioner is factored
+    # once beside it; the sixth-difference bands depend on the grid alone
+    assert len(factors) == 2 * len(levels)
     assert congestion._regularizer_bands.cache_info().misses == 1
+
+
+def test_solve_builds_the_interpolant_once(monkeypatch):
+    # the interpolant and its energy do not depend on the level's floor
+    built = []
+    build = congestion.initial_guess
+
+    def counted(view):
+        built.append(view.floor)
+        return build(view)
+
+    monkeypatch.setattr(congestion, "initial_guess", counted)
+    report = solve_congestion(sine_spec(alpha=0.5, mu=1.0))
+    assert len(report.diagnostics["per_eps"]) == 11 and len(built) == 1
+
+
+# alpha = 1.5 with mu = 0.5 is outside the solvable range alpha < mu + 1
+@pytest.mark.parametrize("alpha,mu", [(0.5, 0.5), (0.5, 2.0), (1.5, 2.0)])
+@pytest.mark.parametrize("nt,nx", [(7, 8), (49, 96)])
+def test_preconditioner_phi_block_factors_positive_definite(nt, nx, alpha, mu):
+    spec = CongestionSpec(grid=Grid(nt=nt, nx=nx, horizon=1.0), alpha=alpha, mu=mu)
+    for eps in (spec.eps_schedule[0], spec.eps_schedule[-1]):
+        # ModeBanded.factor raises LinAlgError on a mode that is not positive definite
+        assert callable(_level(spec, eps).precondition)
+
+
+def test_preconditioner_inverts_linearisation_at_uniform_state():
+    # independent of the band assembly: the Jacobian of the level's weighted
+    # stationarity system at phi = 0, q = 0 (density 1, flux 0) by central
+    # differences of apply_F, which are exact up to O(h^2) there
+    g = Grid(nt=13, nx=16, horizon=1.0)
+    spec = CongestionSpec(grid=g, alpha=0.7, mu=1.3)
+    eps, h = 0.01, 1e-4
+    lvl = _level(spec, eps)
+    w, wt = st_weights(g), time_weights(g)
+    rng = np.random.default_rng(4)
+    r = rng.standard_normal(g.nt * g.nx + g.nt)
+    u = lvl.precondition(r)
+    u_phi, u_q = u[: g.nt * g.nx].reshape(g.nt, g.nx), u[g.nt * g.nx :]
+    assert np.max(np.abs(u_phi - project_tangent(g, u_phi))) <= 1e-14 * np.max(np.abs(u_phi))
+
+    zero_q = np.zeros(g.nt)
+    jac_phi = (
+        w * apply_F(spec, PotentialPair(h * u_phi, zero_q)).f1
+        - w * apply_F(spec, PotentialPair(-h * u_phi, zero_q)).f1
+    ) / (2 * h)
+    lhs = project_tangent(g, lvl.op.apply(u_phi) + jac_phi)
+    rhs = project_tangent(g, g.dt * g.dx * r[: g.nt * g.nx].reshape(g.nt, g.nx))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-6 * np.max(np.abs(rhs))
+
+    jac_q = wt * apply_F(spec, PotentialPair(g.zeros(), u_q)).f2
+    stiff_q = -np.diff(np.diff(u_q), prepend=0.0, append=0.0) / g.dt  # K u_q, Neumann ends
+    lhs_q = eps * (wt * u_q + stiff_q) + jac_q
+    assert np.max(np.abs(lhs_q - g.dt * r[g.nt * g.nx :])) <= 1e-12 * np.max(np.abs(lhs_q))
+
+
+def test_preconditioned_solve_matches_unpreconditioned_with_fewer_evaluations(
+    monkeypatch, sine_report
+):
+    spec, report = sine_report
+    plain_root = congestion.root
+
+    def unpreconditioned(fun, x0, **kwargs):
+        kwargs["options"]["jac_options"].pop("inner_M")
+        return plain_root(fun, x0, **kwargs)
+
+    monkeypatch.setattr(congestion, "root", unpreconditioned)
+    plain = solve_congestion(spec)
+    assert plain.converged
+    assert np.max(np.abs(report.pair.phi - plain.pair.phi)) <= 10 * spec.tol_fp
+    assert np.max(np.abs(report.pair.q - plain.pair.q)) <= 10 * spec.tol_fp
+
+    def evals(rep):
+        return sum(level["newton_residual_evals"] for level in rep.diagnostics["per_eps"])
+
+    assert evals(report) < evals(plain)
+
+
+def test_newton_counters_per_level(sine_report):
+    _, report = sine_report
+    levels = report.diagnostics["per_eps"]
+    assert all(level["used_newton"] for level in levels)
+    for level in levels:
+        for key in ("newton_nit", "newton_residual_evals"):
+            assert type(level[key]) is int and level[key] > 0, key
+    g = Grid(nt=13, nx=16, horizon=1.0)
+    for level in solve_congestion(CongestionSpec(grid=g)).diagnostics["per_eps"]:
+        assert not level["used_newton"]
+        assert level["newton_nit"] is None and level["newton_residual_evals"] == 0
+
+
+def test_fine_sine_rung_converges_at_every_level():
+    spec = sine_spec(nt=49, nx=96, alpha=0.5, mu=1.0)
+    report = solve_congestion(spec)
+    assert report.converged
+    for level in report.diagnostics["per_eps"]:
+        assert level["fp_residual"] <= spec.tol_fp
 
 
 @pytest.mark.parametrize("exc", [ValueError("nan in trial"), np.linalg.LinAlgError("singular")])
@@ -480,6 +579,14 @@ def test_sine_instance_apriori_bounds_hold(sine_report):
         assert level["eps_energy"] <= level["bound"]
         assert np.isfinite(level["deriv_energy"])
         assert level["deriv_exponent"] == pytest.approx(spec.kappa)
+
+
+def test_apriori_diagnostics_matches_the_solve_record(sine_report):
+    # the public entry builds the interpolant constants the solve shares
+    spec, report = sine_report
+    final = report.diagnostics["per_eps"][-1]
+    public = apriori_diagnostics(spec, final["eps"], report.pair)
+    assert public == {key: final[key] for key in public}
 
 
 def test_sine_instance_density_and_mass(sine_report):
