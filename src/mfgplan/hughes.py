@@ -20,14 +20,14 @@ has genuine turning-point dynamics that the envelope formulas do not cover,
 and this module refuses it rather than silently producing one branch.
 
 Everything is evaluated on a truncated window with the density extended by
-its edge values outside; the candidate lattice for each envelope search is
-padded by the transport radius ``t * max |H'|`` so the true minimizer stays
-strictly inside the search bracket, which is checked at runtime.  A coarse
-lattice argmin is then sharpened by golden-section iteration, so values at
-smooth points are exact to solver precision rather than lattice precision.
-One routine does this for a whole time row: each point's lattice is a row
-of one 2-D array and the golden steps advance all brackets together; a
-point query is that routine on one point, so it equals the window solve.
+its edge values outside.  The initial potential is then piecewise linear
+with monotone slopes, so the envelope is exact by characteristics (the
+Lax-Oleinik formula): a point is either reached straight from inside one
+piece, ``y = x - t H'(slope)``, or lies in the fan of a node, ``y = node``.
+The fans are ordered along the data, so one sorted search places a whole
+time row; a point query is that routine on one point, so it equals the
+window solve.  An optimizer farther than ``t`` times the law's transport
+bound means the law's slope and bound disagree, and is refused at runtime.
 """
 
 from __future__ import annotations
@@ -69,9 +69,12 @@ class LinearSpeed:
         if np.min(rho0) < 0.0 or np.max(rho0) > 1.0:
             raise ValueError("densities must lie in [0, 1] for the linear speed law")
 
+    def flux_slope(self, p):
+        return 1.0 - 2.0 * np.asarray(p, dtype=float)
+
     def transport_bound(self, rho_lo: float, rho_hi: float) -> float:
-        # |H'(p)| = |2p - 1| on either branch
-        return max(abs(2.0 * rho_lo - 1.0), abs(2.0 * rho_hi - 1.0))
+        # |H'(p)| = |1 - 2p| on either branch
+        return float(max(abs(self.flux_slope(rho_lo)), abs(self.flux_slope(rho_hi))))
 
 
 @dataclass(frozen=True)
@@ -120,9 +123,12 @@ class CongestionSpeed:
         if np.min(rho0) <= 0.0:
             raise ValueError("densities must be strictly positive for the congestion speed law")
 
+    def flux_slope(self, p):
+        return self.scale * (1.0 - self.beta) * np.asarray(p, dtype=float) ** (-self.beta)
+
     def transport_bound(self, rho_lo: float, rho_hi: float) -> float:
         # |H'(p)| = c (1 - beta) p^(-beta), largest at the smallest density
-        return self.scale * (1.0 - self.beta) * rho_lo ** (-self.beta)
+        return float(self.flux_slope(rho_lo))
 
 
 @dataclass(frozen=True)
@@ -204,72 +210,31 @@ def cumulative_potential(spec: HughesSpec) -> np.ndarray:
 def _envelope(spec: HughesSpec, phi0: np.ndarray, t: float, xs: np.ndarray):
     """Envelope values and optimizers at the points ``xs`` for one time ``t > 0``.
 
-    Row i holds x_i's lattice ``np.arange(lo_i, hi_i + dx/2, dx)``, built
-    with arange's own node formula and padded with +inf; one argmin per row,
-    then 70 golden-section steps on all brackets at once.
+    Piece j of ``phi0`` lies left of node j (pieces 0 and nx are the edge
+    extensions) and sends its characteristics at speed ``v[j] = H'(slope)``;
+    node j's fan covers ``[xs[j] + t v[j], xs[j] + t v[j+1]]``.  The fan starts
+    increase by at least dx, so one sorted search places every point.
     """
-    dx = spec.dx
-    radius = t * spec.speed.transport_bound(float(np.min(spec.rho0)),
-                                            float(np.max(spec.rho0))) + 4.0 * dx
-    lo = np.minimum(spec.x_min, xs - radius)
-    hi = np.maximum(spec.x_max, xs + radius)
-    count = np.ceil((hi + 0.5 * dx - lo) / dx).astype(int)
-    step = (lo + dx) - lo
-    # phi0 with its edge extension; the far nodes' distance does not depend on xs
-    far = max(hi.max(), spec.x_max + radius) - min(lo.min(), spec.x_min - radius)
-    nodes = np.concatenate(([spec.x_min - far], spec.xs, [spec.x_max + far]))
-    table = np.concatenate(([phi0[0] - spec.rho0[0] * far], phi0,
-                            [phi0[-1] + spec.rho0[-1] * far]))
+    nodes = spec.xs
     increasing = spec.branch == "increasing"
-    sign = 1.0 if increasing else -1.0
     lag = spec.speed.lagrangian_min if increasing else spec.speed.lagrangian_max
-    no_worse = np.less_equal if increasing else np.greater_equal
+    slope = np.concatenate((spec.rho0[:1], spec.rho0))  # piece j: rho0[j-1], edges extended
+    v = (-1.0 if increasing else 1.0) * spec.speed.flux_slope(slope)
+    k = np.searchsorted(nodes + t * v[:-1], xs, "right")
+    node = np.concatenate(([-np.inf], nodes))[k]
+    ystar = np.maximum(node, xs - t * v[k])
+    i = np.maximum(k - 1, 0)
+    value = t * lag((xs - ystar) / t) + phi0[i] + slope[k] * (ystar - nodes[i])
 
-    def objective(x, y):
-        return t * lag((x - y) / t) + np.interp(y, nodes, table)
-
-    # lattice argmins in blocks of about 16k entries: bounded temporaries at any nx
-    j = np.empty(xs.size, dtype=int)
-    block = max(1, (1 << 14) // int(count.max()))
-    for rows in (slice(r, r + block) for r in range(0, xs.size, block)):
-        ks = np.arange(count[rows].max(), dtype=float)
-        values = sign * objective(xs[rows, None], lo[rows, None] + ks * step[rows, None])
-        values[ks >= count[rows, None]] = np.inf
-        j[rows] = np.argmin(values, axis=1)
-    bad = (j == 0) | (j == count - 1)
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    bound = t * spec.speed.transport_bound(float(np.min(spec.rho0)), float(np.max(spec.rho0)))
+    # absolute slack: x - t v rounds at the scale of x, not of t v
+    far = np.abs(xs - ystar) > bound + 4.0 * np.spacing(np.maximum(np.abs(xs), np.abs(ystar)))
+    if np.any(far):
+        j = int(np.argmax(far))
         raise ValueError(
-            f"window too small: envelope optimizer for (t={t:.6g}, x={xs[i]:.6g}) "
-            f"sits on the search boundary y={lo[i] + j[i] * step[i]:.6g}")
-
-    # golden state: points (a, c, d, b) over values (-, f(c), f(d), -)
-    state = np.zeros((2, 4, xs.size))
-    a, b, fc, fd = state[0, 0], state[0, 3], state[1, 1], state[1, 2]
-    a[:], b[:] = lo + (j - 1) * step, lo + (j + 1) * step
-    ratio = (np.sqrt(5.0) - 1.0) / 2.0
-    state[0, 1] = b - ratio * (b - a)
-    state[0, 2] = a + ratio * (b - a)
-    state[1, 1:3] = objective(xs, state[0, 1:3])
-    # views made once: on one point each costs as much as a ufunc call
-    inner, cd_to_db, cd_to_ac, c_slot, d_slot = (
-        state[:, 1:3], state[:, 2:], state[:, :2], state[:, 1], state[:, 2])
-    probe = np.empty((2, xs.size))  # new point over its value
-    y = probe[0]
-    for _ in range(70):
-        # f(c) no worse than f(d) keeps [a, d] and probes a new c, else [c, b] and a new d
-        left = no_worse(fc, fd)
-        right = ~left
-        np.copyto(cd_to_db, inner, where=left)
-        np.copyto(cd_to_ac, inner, where=right)
-        span = ratio * (b - a)
-        np.add(a, span, out=y)
-        np.copyto(y, b - span, where=left)
-        probe[1] = objective(xs, y)
-        np.copyto(c_slot, probe, where=left)
-        np.copyto(d_slot, probe, where=right)
-    ystar = 0.5 * (a + b)
-    return objective(xs, ystar), ystar
+            f"window too small: envelope optimizer for (t={t:.6g}, x={xs[j]:.6g}) "
+            f"sits at y={ystar[j]:.6g}, farther than t * transport_bound = {bound:.6g}")
+    return value, ystar
 
 
 def hopf_lax(spec: HughesSpec, t: float, x: float) -> tuple[float, float]:
@@ -277,7 +242,7 @@ def hopf_lax(spec: HughesSpec, t: float, x: float) -> tuple[float, float]:
 
     The row evaluation of ``solve_hughes`` on the single point ``x``, so
     both give the same values.  Raises ``ValueError`` for ``t <= 0`` or when the
-    optimizer lands on the search bracket's edge ("window too small").
+    optimizer lies beyond the law's transport bound ("window too small").
     """
     if t <= 0.0:
         raise ValueError(f"positive time required, got t={t}")

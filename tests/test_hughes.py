@@ -41,10 +41,16 @@ def window_instance(nx, law):
 
 
 class UnderestimatingLaw:
-    """Linear-law clone whose transport bound is a lie; used to hit the guard."""
+    """Linear-law clone whose transport bound is a lie; used to hit the guard.
+
+    The bound 0 is honest only at density 1/2, where ``|1 - 2p|`` vanishes.
+    """
 
     def f(self, rho):
         return 1.0 - np.asarray(rho, dtype=float)
+
+    def flux_slope(self, p):
+        return 1.0 - 2.0 * np.asarray(p, dtype=float)
 
     def lagrangian_min(self, w):
         return (np.asarray(w, dtype=float) + 1.0) ** 2 / 4.0
@@ -210,10 +216,10 @@ def test_search_boundary_guard():
 
 
 def test_solve_guard_names_first_failing_x():
-    # the optimizer x + 0.8 t leaves the lattice, which the lied-about radius
-    # stretches only 4 dx past the window, near x_max but not near x_min
+    # rho0 rises from 1/2, where the lied-about bound 0 is honest: the first
+    # points see speed 0 (x_1 sits at its fan's start), x_2 already moves
     t = 0.65
-    spec = HughesSpec(x_min=-0.5, x_max=0.5, rho0=np.full(11, 0.1),
+    spec = HughesSpec(x_min=-0.5, x_max=0.5, rho0=np.linspace(0.5, 0.9, 11),
                       times=(0.0, t), speed=UnderestimatingLaw())
     failing = []
     for x in spec.xs:
@@ -225,6 +231,44 @@ def test_solve_guard_names_first_failing_x():
     with pytest.raises(ValueError, match=re.escape(
             f"window too small: envelope optimizer for (t={t:.6g}, x={failing[0]:.6g})")):
         solve_hughes(spec)
+
+
+@pytest.mark.parametrize("t", [1e-9, "dx/4", 5.0])
+@pytest.mark.parametrize("branch", ["increasing", "decreasing"])
+@pytest.mark.parametrize("law", [LinearSpeed(), CongestionSpeed(beta=0.25)])
+def test_guard_never_fires_on_shipped_laws(law, branch, t):
+    # the bound-setting density (0.1 for both laws) fills a quarter of the window
+    # and its edge extension, so the fastest characteristics meet the bound
+    # exactly, while x reaches 60, whose rounding dwarfs t * bound at t = 1e-9
+    rho0 = np.clip(np.linspace(-0.1, 0.7, 201), 0.1, 0.5)
+    if branch == "decreasing":
+        rho0 = rho0[::-1].copy()
+    spec = HughesSpec(x_min=-40.0, x_max=60.0, rho0=rho0, times=(1.0,),
+                      branch=branch, speed=law)
+    t = spec.dx / 4.0 if t == "dx/4" else t
+    bound = t * law.transport_bound(0.1, 0.5)
+    moved = [abs(x - hopf_lax(spec, t, x)[1]) for x in spec.xs]
+    assert max(moved) >= 0.99 * bound
+
+
+def test_riemann_step_exact():
+    # slope 0.2 left of the node x = 0, 0.6 right of it: linear law speeds
+    # 2 rho - 1 are -0.6 and 0.2, and x = 0's fan covers [-0.6 t, 0.2 t]
+    rho0 = np.where(np.linspace(-2.0, 2.0, 41) < 0.0, 0.2, 0.6)
+    spec = HughesSpec(x_min=-2.0, x_max=2.0, rho0=rho0, times=(0.0, 0.5, 1.0),
+                      branch="increasing")
+    sol = solve_hughes(spec)
+    x = spec.xs
+    for i, t in enumerate(spec.times[1:], start=1):
+        left, right = x < -0.6 * t, x > 0.2 * t
+        fan = ~left & ~right
+        assert left.any() and fan.any() and right.any()
+        ystar = np.where(left, x + 0.6 * t, np.where(right, x - 0.2 * t, 0.0))
+        phi0 = 0.4 + np.where(ystar < 0.0, 0.2, 0.6) * ystar
+        exact = (x - ystar + t) ** 2 / (4.0 * t) + phi0
+        # measured up to 1.1e-15 on phi and 2.2e-16 on the optimizer
+        assert np.max(np.abs(sol.phi[i] - exact)) < 1e-13
+        assert np.max(np.abs(sol.ystar[i] - ystar)) < 1e-13
 
 
 @settings(max_examples=60, deadline=None)
@@ -273,9 +317,27 @@ def test_decreasing_branch_mirrors_increasing():
     sol_i = solve_hughes(si)
     sol_d = solve_hughes(sd)
     mass = float(np.sum(inc[:-1]) * si.dx)
-    # measured 1.8e-15 on phi and 4.1e-8 on the optimizer map
+    # measured 1.8e-15 on phi and 8.9e-16 on the optimizer map
     assert np.max(np.abs(sol_d.phi[1] - (mass - sol_i.phi[1][::-1]))) < 1e-8
-    assert np.max(np.abs(sol_d.ystar[1] + sol_i.ystar[1][::-1])) < 1e-6
+    assert np.max(np.abs(sol_d.ystar[1] + sol_i.ystar[1][::-1])) < 1e-12
+
+
+@pytest.mark.parametrize("law", ["linear", "congestion"])
+def test_near_monotone_data_solves_like_monotone(law):
+    # plateaus at 0.3 and 0.6 carry dips of 8e-13, under the tag check's 1e-12
+    base = np.clip(np.linspace(0.0, 0.9, 121), 0.3, 0.6)
+    dipped = base.copy()
+    dipped[[8, 20, 100, 112]] -= 8e-13  # shifts phi0 by at most 4 * 8e-13 * dx
+    branch, speed = "increasing", LinearSpeed()
+    if law == "congestion":
+        base, dipped = base[::-1].copy(), dipped[::-1].copy()
+        branch, speed = "decreasing", CongestionSpeed(beta=0.25)
+    solves = [solve_hughes(HughesSpec(x_min=-3.0, x_max=3.0, rho0=rho0, times=WINDOW_TIMES,
+                                      branch=branch, speed=speed))
+              for rho0 in (base, dipped)]
+    assert np.min(np.diff(dipped) if law == "linear" else -np.diff(dipped)) < 0.0
+    # measured 1.6e-13
+    assert np.max(np.abs(solves[1].phi - solves[0].phi)) < 1e-12
 
 
 def test_eikonal_residual_first_order_refinement():
@@ -371,7 +433,7 @@ def test_window_solve_nx641_rung(law):
     lo, hi = float(np.min(spec.rho0)), float(np.max(spec.rho0))
     assert np.min(sol.rho) >= lo - 10.0 * spec.dx
     assert np.max(sol.rho) <= hi + 10.0 * spec.dx
-    # measured 0.1-0.2 s on a 2-core x86_64 host; the scalar per-point loop took 6-10 s
+    # measured 0.4-0.5 ms on a 2-core x86_64 host; the scalar per-point loop took 6-10 s
     assert took < 3.0
 
 
