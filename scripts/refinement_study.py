@@ -25,13 +25,13 @@ def solve_level(nt, nx, order):
         order=order,
     )
     rep = minimize(spec)
-    sol = recover(spec, rep.pair)
+    sol = recover(spec, rep.pair, rep.slopes)
     return {
         "nt": nt,
         "nx": nx,
         "objective": float(rep.objective_trace[-1]),
         "iterations": rep.iterations,
-        "converged": rep.converged,
+        "exit_reason": rep.diagnostics["exit_reason"],
         "fp_sup": float(np.max(np.abs(sol.residual_fp))),
         "hj_sup": float(np.max(np.abs(sol.residual_hj[1:-1]))),
         "wall": rep.wall_time,
@@ -48,12 +48,11 @@ def main():
     rows = [solve_level(16 * 2**k + 1, 16 * 2**k, args.order) for k in range(args.levels)]
 
     print(f"{'grid':>10s} {'objective':>16s} {'fp sup':>10s} {'hj sup':>10s} "
-          f"{'iters':>6s} {'wall':>7s}")
+          f"{'iters':>6s} {'wall':>7s}  exit")
     for r in rows:
         tag = f"{r['nt']}x{r['nx']}"
         print(f"{tag:>10s} {r['objective']:16.12f} {r['fp_sup']:10.2e} "
-              f"{r['hj_sup']:10.2e} {r['iterations']:6d} {r['wall']:6.2f}s"
-              + ("" if r["converged"] else "  NOT CONVERGED"))
+              f"{r['hj_sup']:10.2e} {r['iterations']:6d} {r['wall']:6.2f}s  {r['exit_reason']}")
 
     gaps = [abs(a["objective"] - b["objective"]) for a, b in zip(rows, rows[1:])]
     for k, (g1, g2) in enumerate(zip(gaps, gaps[1:])):

@@ -528,7 +528,7 @@ def _run_planning(config: RunConfig, out: Path, quiet: bool) -> int:
     spec = config.spec
     started = time.perf_counter()
     report = minimize(spec)
-    sol = recover(spec, report.pair)
+    sol = recover(spec, report.pair, report.slopes)
     wall = time.perf_counter() - started
     g = spec.grid
 

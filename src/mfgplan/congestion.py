@@ -298,8 +298,9 @@ class _Level:
     is ``eps (W + dt dx R)`` with its factored tangent-space ``solve``, ``ab``
     the SPD tridiagonal q-block ``eps (M + K)`` (lower banded), ``wt`` is ``M``.
     ``precondition`` applies the inverse of the Newton-Krylov Jacobian at the
-    uniform state (:func:`_newton_polish`).  ``interp`` does not depend on
-    ``eps``, so :func:`solve_congestion` passes one to every level.
+    uniform state (:func:`_newton_polish`; ``None`` for a level built with
+    ``newton=False``).  ``interp`` does not depend on ``eps``, so
+    :func:`solve_congestion` passes one to every level.
     """
 
     eps: float
@@ -310,7 +311,7 @@ class _Level:
     solve: Callable[[Field], Field]
     ab: np.ndarray
     wt: TimeSeries
-    precondition: Callable[[np.ndarray], np.ndarray]
+    precondition: Callable[[np.ndarray], np.ndarray] | None
 
 
 def _q_block(g: Grid, eps: float) -> np.ndarray:
@@ -324,7 +325,9 @@ def _q_block(g: Grid, eps: float) -> np.ndarray:
     return ab
 
 
-def _level(spec: CongestionSpec, eps: float, interp: Field | None = None) -> _Level:
+def _level(
+    spec: CongestionSpec, eps: float, interp: Field | None = None, newton: bool = True
+) -> _Level:
     g = spec.grid
     view = spec.planning_view(floor=eps)
     interp = initial_guess(view).phi if interp is None else interp
@@ -335,6 +338,8 @@ def _level(spec: CongestionSpec, eps: float, interp: Field | None = None) -> _Le
     bands[0] += eps * g.dx * wt[:, None]
     op = ModeBanded(g, bands)
     ab = _q_block(g, eps)
+    if not newton:
+        return _Level(eps, view, lift, interp, op, op.factor(), ab, wt, None)
     lin = bands.copy()  # W F1 linearised at y = 1, z = 0: the planning metric, L'' = 1, g' = mu
     lin[:3] += _metric_bands(g, 0, 1.0, spec.mu)
     phi_block, q_block = ModeBanded(g, lin).factor(), np.vstack([ab[0] + wt, ab[1]])
@@ -350,12 +355,12 @@ def inner_phi_solve(spec: CongestionSpec, eps: float, pp0: PotentialPair) -> Fie
     """Minimize the frozen-operator quadratic over the constraint set.
 
     Exact solve on the pinned/mean-free subspace (``eps (W + dt dx R)``,
-    factored once per continuation level; this entry builds its own level),
+    factored once per continuation level; this entry factors only that system),
     then a density repair if the floor ``phi_x + 1 >= eps`` is violated.
     The returned field never has a larger objective than the time-linear
     interpolant of the boundary slices (which is the fallback candidate).
     """
-    return _phi_solve(spec, _level(spec, eps), apply_F(spec, pp0, eps=eps).f1)
+    return _phi_solve(spec, _level(spec, eps, newton=False), apply_F(spec, pp0, eps=eps).f1)
 
 
 def _phi_solve(spec: CongestionSpec, lvl: _Level, f1: Field) -> Field:

@@ -123,10 +123,12 @@ class PlanningSpec:
 
 @dataclass(frozen=True)
 class PotentialPair:
-    """The unknown of the variational problem: a field plus a time series."""
+    """The unknown of the variational problem: a field plus a time series, and for a
+    :func:`minimize` iterate ``lo``, the low part of the double-double field ``phi + lo``."""
 
     phi: Field
     q: TimeSeries
+    lo: Field | None = None
 
 
 def potential_fields(grid: Grid, pp: PotentialPair, order: int) -> tuple[Field, Field]:
@@ -135,11 +137,22 @@ def potential_fields(grid: Grid, pp: PotentialPair, order: int) -> tuple[Field, 
     The density is ``m = phi_x + 1`` and the flux ``phi_t + q - order * phi_xx``;
     written through the potential, the discrete continuity equation between
     them holds at every pair, which is why no solver enforces it.
+
+    The Laplacean of ``phi`` is taken difference-first, ``(fwd - roll(fwd, 1)) / dx^2``
+    with ``fwd = roll(phi, -1) - phi`` (increments of close neighbours are exact).  With
+    a low part the field is ``phi + lo``: the stencils applied to ``lo`` are added
+    before ``q`` and the 1, so a zero ``lo`` moves no bit.
     """
-    flux = dt_interior(grid, pp.phi) + pp.q[:, None]
+    phi, lo = pp.phi, pp.lo
+    flux, dens = dt_interior(grid, phi), dx_periodic(grid, phi)
+    if lo is not None:
+        flux, dens = flux + dt_interior(grid, lo), dens + dx_periodic(grid, lo)
+    flux = flux + pp.q[:, None]
     if order == 1:
-        flux = flux - dxx_periodic(grid, pp.phi)
-    return flux, dx_periodic(grid, pp.phi) + 1.0
+        fwd = np.roll(phi, -1, axis=1) - phi
+        lap = (fwd - np.roll(fwd, 1, axis=1)) / grid.dx**2
+        flux = flux - (lap if lo is None else lap + dxx_periodic(grid, lo))
+    return flux, dens + 1.0
 
 
 def check_density(m: Field, lower: float, problem: str) -> None:
@@ -178,7 +191,7 @@ def check_marginal(grid: Grid, m, name: str) -> np.ndarray:
 
 @dataclass
 class SolveReport:
-    """Outcome of one :func:`minimize` call."""
+    """Outcome of one :func:`minimize` call; ``slopes`` is ``L'(flux / density)`` at ``pair``."""
 
     pair: PotentialPair
     objective_trace: np.ndarray
@@ -188,6 +201,7 @@ class SolveReport:
     wall_time: float
     diagnostics: dict
     solution: object | None = None
+    slopes: Field | None = None
 
 
 def boundary_slices(grid: Grid, m0: np.ndarray, mT: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,14 +214,11 @@ def boundary_slices(grid: Grid, m0: np.ndarray, mT: np.ndarray) -> tuple[np.ndar
     Raises
     ------
     ValueError
-        If either density does not integrate to 1 within 1e-8.
+        If either density fails :func:`check_marginal` (e.g. does not integrate to 1).
     """
     out = []
-    for m in (np.asarray(m0, dtype=float), np.asarray(mT, dtype=float)):
-        total = integrate_x(grid, m)
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"density integrates to {total:.10f}, expected 1")
-        s = antiderivative_x(grid, m - 1.0)
+    for name, m in (("m0", m0), ("mT", mT)):
+        s = antiderivative_x(grid, check_marginal(grid, m, name) - 1.0)
         out.append(s - integrate_x(grid, s))
     return out[0], out[1]
 
@@ -320,7 +331,7 @@ def pair_inner(grid: Grid, a: tuple[Field, TimeSeries], b: tuple[Field, TimeSeri
     )
 
 
-def clip_to_floor(spec: PlanningSpec, phi: Field) -> Field:
+def clip_to_floor(spec: PlanningSpec, phi: Field, lo: Field | None = None) -> Field | tuple:
     """Restore the density floor by repairing forward x-increments.
 
     Works row by row on the forward increments ``s_j = phi[j+1] - phi[j]``
@@ -330,27 +341,28 @@ def clip_to_floor(spec: PlanningSpec, phi: Field) -> Field:
     The row is then rebuilt with zero mean.  Since the central difference is
     the average of two adjacent forward increments, the central-difference
     density inherits the floor.  Pinned rows are never touched (they are
-    feasible by construction).
+    feasible by construction).  Given the low part ``lo`` of ``phi + lo``, returns
+    ``(phi, lo)`` with ``lo`` zeroed on the repaired rows.
     """
     g = spec.grid
     # tiny padding so the rebuilt row still clears the floor after rounding
-    lo = (spec.floor * (1.0 + 1e-6) + 1e-15 - 1.0) * g.dx
+    least = (spec.floor * (1.0 + 1e-6) + 1e-15 - 1.0) * g.dx
     s = np.roll(phi, -1, axis=1) - phi
-    bad = s.min(axis=1) < lo
+    bad = s.min(axis=1) < least
     bad[0] = bad[-1] = False
     if not bad.any():
-        return phi
+        return phi if lo is None else (phi, lo)
     phi = phi.copy()
     for i in np.nonzero(bad)[0]:
         si = s[i]
-        viol = si < lo
-        surplus = float(np.sum(lo - si[viol]))
-        slack = np.where(viol, 0.0, si - lo)
+        viol = si < least
+        surplus = float(np.sum(least - si[viol]))
+        slack = np.where(viol, 0.0, si - least)
         total = float(slack.sum())
-        si = np.where(viol, lo, si - surplus * slack / total)
+        si = np.where(viol, least, si - surplus * slack / total)
         row = np.concatenate(([0.0], np.cumsum(si[:-1])))
         phi[i] = row - row.mean()
-    return phi
+    return phi if lo is None else (phi, np.where(bad[:, None], 0.0, lo))
 
 
 def random_feasible_pair(
@@ -427,6 +439,16 @@ def _curvatures(spec: PlanningSpec) -> tuple[float, float]:
     return lpp, gp1
 
 
+def _two_sum(hi: Field, lo: Field, step: Field) -> tuple[Field, Field]:
+    """``hi + lo + step`` as a renormalised pair: TwoSum of ``hi + step``, its
+    error added to ``lo``, then FastTwoSum (Dekker 1971; Ogita, Rump, Oishi 2005)."""
+    s = hi + step
+    v = s - hi
+    lo = lo + ((hi - (s - v)) + (step - v))
+    hi = s + lo
+    return hi, lo - (hi - s)
+
+
 def _sup_norm(gphi: Field, gq: TimeSeries) -> float:
     return max(float(np.max(np.abs(gphi))), float(np.max(np.abs(gq))))
 
@@ -449,12 +471,19 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
     machine precision.  If neither phase can make progress the solver
     returns early with ``diagnostics["stalled"]`` set.
 
+    The iterate is the double-double field ``phi + lo``: each trial point is the
+    TwoSum of ``phi`` and the step (:func:`_two_sum`); model, gradient, metric and
+    ``q`` stay in double.  ``grad_norm`` certifies ``phi + lo`` (``slopes`` is its
+    ``L'(z / y)``); the CSV holds ``phi``, within ``diagnostics["lo_sup"]`` of it.
+
     ``diagnostics["exit_reason"]`` is ``"converged"``, ``"rounding_floor"``
     (stalled at a gradient sup-norm at most ``diagnostics["grad_floor_estimate"]``),
-    ``"stalled"`` (above it) or ``"max_iters"``.  That floor is ``u max|phi|`` times
-    the largest symbol of the gradient's leading operator: ``(4 / dx^2)^2 L''(0)``
-    for order 1 (``Dxx^T L''(0) Dxx``), ``(2 / dt)^2 L''(0) + g'(1) / dx^2`` for
-    order 0 (``Dt^T L''(0) Dt``, ``2 / dt`` from its end rows, and ``Dx^T g'(1) Dx``).
+    ``"stalled"`` (above it) or ``"max_iters"``.  That floor is the stored pair's
+    ``u^2 max|phi| (a^2 L''(0) + g'(1) / dx^2)`` plus ``2 u (a L''(0) max|z| + g'(1)
+    max|y| / dx)`` for the double fields ``(z, y)``, rounded there and in the gradient's
+    assembly; ``a`` is ``4 / dx^2`` (``Dxx``) for order 1 and ``2 / dt`` (``Dt``) for
+    order 0, and for order 1 ``max|z|`` gains ``max|y - 1| / dx``, the rounding of the
+    difference-first Laplacean's increments.
 
     Raises
     ------
@@ -466,9 +495,9 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
     g = spec.grid
     pp = initial_guess(spec) if start is None else start
     phi, q = pp.phi.copy(), pp.q.copy()
-    phi = clip_to_floor(spec, phi)
+    phi, lo = clip_to_floor(spec, phi, np.zeros_like(phi) if pp.lo is None else pp.lo.copy())
 
-    f, terms = _evaluate(spec, PotentialPair(phi, q))
+    f, terms = _evaluate(spec, PotentialPair(phi, q, lo))
     if not np.isfinite(f):
         raise ValueError("starting pair is infeasible (objective is not finite)")
     trace = [f]
@@ -506,9 +535,9 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
         alpha = min(1.0, 4.0 * alpha) if descent else 1.0
         accepted = False
         for _ in range(80 if descent else 24):
-            phi_t = clip_to_floor(spec, phi + alpha * dphi_dir)
+            phi_t, lo_t = clip_to_floor(spec, *_two_sum(phi, lo, alpha * dphi_dir))
             q_t = q + alpha * dq_dir
-            f_t, terms_t = _evaluate(spec, PotentialPair(phi_t, q_t))
+            f_t, terms_t = _evaluate(spec, PotentialPair(phi_t, q_t, lo_t))
             if descent:
                 accepted = f_t <= f + 1e-4 * alpha * slope or f_t < f
             elif f_t <= f + resolution:
@@ -526,7 +555,7 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
                 )
             stalled = True  # no numerical progress left at this precision
             break
-        phi, q, terms = phi_t, q_t, terms_t
+        phi, lo, q, terms = phi_t, lo_t, q_t, terms_t
         f = f_t if descent else min(f, f_t)
         gphi, gq = _gradient(spec, *terms) if descent else grad_t
 
@@ -535,11 +564,13 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
         gnorm = _sup_norm(gphi, gq)
         converged = gnorm <= spec.tol
 
-    symbol = (4.0 / g.dx**2) ** 2 * lpp if spec.order else (2.0 / g.dt) ** 2 * lpp + gp1 / g.dx**2
-    floor_estimate = float(np.finfo(float).eps * np.max(np.abs(phi)) * symbol)
+    u, lead = np.finfo(float).eps, (4.0 / g.dx**2 if spec.order else 2.0 / g.dt)
+    z = np.max(np.abs(terms[0])) + spec.order * np.max(np.abs(terms[1] - 1.0)) / g.dx
+    floor_estimate = float(u * u * np.max(np.abs(phi)) * (lead**2 * lpp + gp1 / g.dx**2)
+                           + 2 * u * (lead * lpp * z + gp1 * np.max(np.abs(terms[1])) / g.dx))
     stall_reason = "rounding_floor" if gnorm <= floor_estimate else "stalled"
     exit_reason = "converged" if converged else stall_reason if stalled else "max_iters"
-    pair = PotentialPair(phi, q)
+    pair = PotentialPair(phi, q, lo)
     mass = integrate_x(g, terms[1])
     diagnostics = {
         "min_density": dens_trace[-1],
@@ -551,6 +582,8 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
         "stalled": stalled,
         "exit_reason": exit_reason,
         "grad_floor_estimate": floor_estimate,
+        "grad_norm_iterate": "phi + lo; solution_phi.csv holds phi",
+        "lo_sup": float(np.max(np.abs(lo))),
     }
     return SolveReport(
         pair=pair,
@@ -560,4 +593,5 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
         converged=converged,
         wall_time=time.perf_counter() - t_start,
         diagnostics=diagnostics,
+        slopes=terms[2][0],
     )

@@ -77,13 +77,14 @@ def _hj_parts(spec: PlanningSpec, u: Field, m: Field) -> tuple[TimeSeries, Field
     return c, defect - c[:, None]
 
 
-def recover(spec: PlanningSpec, pp: PotentialPair) -> MFGSolution:
+def recover(spec: PlanningSpec, pp: PotentialPair, slopes: Field | None = None) -> MFGSolution:
     """Invert the potential transformation and attach PDE diagnostics.
 
     Requires a strictly positive discrete density: every node must satisfy
     ``phi_x + 1 > 0`` and ``phi_x + 1 >= spec.floor``.  The slope inversion
     is undefined at a vanishing density, so violations raise instead of
-    propagating NaNs.
+    propagating NaNs.  ``slopes``, if given, is that inversion
+    ``L'(flux / density)`` at ``pp`` already done (``SolveReport.slopes``).
 
     Raises
     ------
@@ -97,7 +98,7 @@ def recover(spec: PlanningSpec, pp: PotentialPair) -> MFGSolution:
 
     flux, m = potential_fields(g, pp, spec.order)
     check_density(m, spec.floor, "degenerate density")
-    u = antiderivative_x(g, model.lagrangian.derivative(flux / m))
+    u = antiderivative_x(g, model.lagrangian.derivative(flux / m) if slopes is None else slopes)
 
     c, residual_hj = _hj_parts(spec, u, m)
     theta = cumulative_trapezoid(c, dx=g.dt, initial=0.0)

@@ -406,6 +406,25 @@ def test_identical_configs_byte_identical_outputs(tmp_path, model):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("rung", ["planning_sine", "order1_257x256"])
+def test_double_double_iterate_reruns_byte_identical(tmp_path, rung):
+    if rung == "planning_sine":
+        path = Path(__file__).resolve().parents[1] / "configs" / "planning_sine.yaml"
+    else:
+        doc = planning_doc(grid={"nt": 257, "nx": 256, "horizon": 1.0})
+        doc["planning"].update(order=1, m0={"type": "sine", "amplitude": 0.1, "mode": 1},
+                               mT={"type": "cosine", "amplitude": 0.1, "mode": 1})
+        path = write_config(tmp_path, doc)
+    assert main(["solve", str(path), "--out", str(tmp_path / "a"), "--quiet"]) == 0
+    assert main(["solve", str(path), "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    diag = json.loads((tmp_path / "a" / "report.json").read_text())["diagnostics"]
+    assert diag["exit_reason"] == "converged"
+    assert diag["grad_norm_iterate"].startswith("phi + lo")
+    for name in ("solution_phi.csv", "solution_q.csv", "solution_u.csv",
+                 "solution_m.csv", "diagnostics.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
 # ---------------------------------------------------------------------------
 # assumption validation
 

@@ -410,6 +410,24 @@ def test_solve_factors_once_per_level_and_builds_bands_once(monkeypatch):
     assert congestion._regularizer_bands.cache_info().misses == 1
 
 
+def test_inner_phi_solve_factors_only_its_system(monkeypatch):
+    spec = sine_spec(alpha=0.5, mu=1.0)
+    g = spec.grid
+    pp0 = PotentialPair(np.zeros((g.nt, g.nx)), np.zeros(g.nt))
+    eps = spec.eps_schedule[-1]
+    expected = congestion._phi_solve(spec, _level(spec, eps), apply_F(spec, pp0, eps=eps).f1)
+    factors = []
+    factor = ModeBanded.factor
+
+    def counted(op):
+        factors.append(1)
+        return factor(op)
+
+    monkeypatch.setattr(ModeBanded, "factor", counted)
+    assert np.array_equal(inner_phi_solve(spec, eps, pp0), expected)
+    assert len(factors) == 1
+
+
 def test_solve_builds_the_interpolant_once(monkeypatch):
     # the interpolant and its energy do not depend on the level's floor
     built = []

@@ -1,6 +1,7 @@
 """Variational-core checks: feasible set plumbing, objective, gradient, solver."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from mfgplan.planning import (
     _build_preconditioner,
     _evaluate,
     _gradient,
+    _two_sum,
     boundary_slices,
     clip_to_floor,
     gradient,
@@ -34,6 +36,7 @@ from mfgplan.planning import (
     minimize,
     objective,
     pair_inner,
+    potential_fields,
     project_tangent,
     random_feasible_pair,
 )
@@ -191,6 +194,70 @@ def test_clip_to_floor_repairs_violations():
     assert np.array_equal(clipped[-1], phi[-1])
     # untouched rows stay bitwise identical
     assert np.array_equal(clipped[1], phi[1])
+
+
+def test_clip_to_floor_zeroes_the_low_part_on_repaired_rows():
+    spec = sine_spec(nt=5, nx=16, floor=1e-3)
+    g = spec.grid
+    rng = np.random.default_rng(5)
+    phi = initial_guess(spec).phi
+    lo = project_tangent(g, 1e-18 * rng.standard_normal(phi.shape))
+    step = np.zeros_like(phi)
+    step[2] = 2.0 * np.sin(2 * np.pi * g.x)  # drives density negative mid-row
+    step[1] = 1e-3 * np.cos(2 * np.pi * g.x)  # a feasible step on another row
+    hi_t, lo_t = _two_sum(phi, lo, step)
+    clipped, lo_c = clip_to_floor(spec, hi_t, lo_t)
+    repaired = np.any(clipped != hi_t, axis=1)
+    assert repaired.tolist() == [False, False, True, False, False]
+    assert np.all(lo_c[2] == 0.0) and np.any(lo_t[2] != 0.0)
+    assert np.array_equal(lo_c[~repaired], lo_t[~repaired])
+    assert np.array_equal(clipped, clip_to_floor(spec, hi_t))
+
+
+def test_two_sum_step_is_exact():
+    rng = np.random.default_rng(2)
+    hi = rng.standard_normal((4, 8))
+    step = 1e-9 * rng.standard_normal((4, 8))
+    new_hi, new_lo = _two_sum(hi, np.zeros_like(hi), step)
+    # renormalised: the high part is the rounded sum, the low part what it dropped
+    assert np.array_equal(new_hi, hi + step)
+    assert np.all(np.abs(new_lo) <= 0.5 * np.abs(np.spacing(new_hi)))
+    for h, d, nh, nl in zip(hi.flat, step.flat, new_hi.flat, new_lo.flat):
+        assert Fraction(nh) + Fraction(nl) == Fraction(h) + Fraction(d)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_zero_low_part_leaves_fields_bit_identical(order):
+    spec = sine_spec(nt=9, nx=16)
+    pp = random_feasible_pair(spec, np.random.default_rng(3))
+    with_lo = PotentialPair(pp.phi, pp.q, np.zeros_like(pp.phi))
+    for a, b in zip(potential_fields(spec.grid, pp, order),
+                    potential_fields(spec.grid, with_lo, order)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_low_part_enters_every_stencil(order):
+    spec = sine_spec(nt=9, nx=16)
+    g = spec.grid
+    rng = np.random.default_rng(4)
+    a, b = random_feasible_pair(spec, rng), random_feasible_pair(spec, rng)
+    lo = b.phi - initial_guess(spec).phi  # a tangent field, not small, so every term shows
+    split = potential_fields(g, PotentialPair(a.phi, a.q, lo), order)
+    whole = potential_fields(g, PotentialPair(a.phi + lo, a.q), order)
+    for s, w in zip(split, whole):
+        assert np.max(np.abs(s - w)) <= 1e-12
+
+
+@pytest.mark.parametrize("nt, nx", [(33, 32), (129, 128), (257, 256)])
+def test_difference_first_laplacean_agrees_with_stencil(nt, nx):
+    spec = _refinement_spec(nt, nx)
+    g = spec.grid
+    pp = random_feasible_pair(spec, np.random.default_rng(nx))
+    laplacean = potential_fields(g, pp, 0)[0] - potential_fields(g, pp, 1)[0]
+    # the two Laplaceans differ only in how their sums are rounded
+    bound = 4.0 * np.finfo(float).eps * np.max(np.abs(pp.phi)) / g.dx**2
+    assert np.max(np.abs(laplacean - dxx_periodic(g, pp.phi))) <= bound
 
 
 def test_random_feasible_pair_is_strictly_feasible():
@@ -386,20 +453,43 @@ def _refinement_spec(nt: int, nx: int) -> PlanningSpec:
     return PlanningSpec(grid=g, m0=1.0 + wave, mT=1.0 - wave, order=1, tol=1e-8)
 
 
-@pytest.mark.parametrize("nt, nx, reason", [(129, 128, "converged"), (257, 256, "rounding_floor")])
+def _floor_estimate(report, spec: PlanningSpec) -> float:
+    # u^2 max|phi| lead^2 + 2 u (lead max|z| + order lead max|y - 1| / dx + max|y| / dx)
+    # with L''(0) = g'(1) = 1 for the quadratic model and coupling
+    g, u = spec.grid, np.finfo(float).eps
+    lead = 4.0 / g.dx**2 if spec.order else 2.0 / g.dt
+    z, y = potential_fields(g, report.pair, spec.order)
+    phi = np.max(np.abs(report.pair.phi))
+    zmax = np.max(np.abs(z)) + spec.order * np.max(np.abs(y - 1.0)) / g.dx
+    return u * u * phi * (lead**2 + 1.0 / g.dx**2) + 2.0 * u * (
+        lead * zmax + np.max(np.abs(y)) / g.dx
+    )
+
+
+@pytest.mark.parametrize("nt, nx, reason", [(129, 128, "converged"), (257, 256, "converged")])
 def test_order1_sine_rung_exit_reason(nt, nx, reason):
-    spec = _refinement_spec(nt, nx)
+    # the top rungs of the refinement ladder converge for both orders: the
+    # iterate is held as phi + lo, so its storage no longer sets the floor
+    for order in (0, 1):
+        spec = dataclasses.replace(_refinement_spec(nt, nx), order=order)
+        report = minimize(spec)
+        diag = report.diagnostics
+        assert diag["exit_reason"] == reason
+        assert report.converged and report.grad_norm <= spec.tol
+        assert diag["grad_floor_estimate"] == pytest.approx(_floor_estimate(report, spec), rel=1e-6)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_forced_stall_exit_reason_rounding_floor(order):
+    # a tolerance far below the gradient's rounding floor: the solver stalls
+    # between the tolerance and the floor estimate
+    spec = sine_spec(nt=9, nx=16, order=order, tol=1e-20)
     report = minimize(spec)
     diag = report.diagnostics
-    assert diag["exit_reason"] == reason
-    # u max|phi| (4 / dx^2)^2 L''(0), with L''(0) = 1 for the quadratic model
-    floor = np.finfo(float).eps * np.max(np.abs(report.pair.phi)) * (4.0 * nx**2) ** 2
-    assert diag["grad_floor_estimate"] == pytest.approx(floor, rel=1e-6)
-    if reason == "converged":
-        assert report.converged and report.grad_norm <= spec.tol
-    else:  # stalled between the tolerance and the rounding floor
-        assert not report.converged and diag["stalled"]
-        assert spec.tol < report.grad_norm <= diag["grad_floor_estimate"]
+    assert diag["exit_reason"] == "rounding_floor"
+    assert not report.converged and diag["stalled"]
+    assert diag["grad_floor_estimate"] == pytest.approx(_floor_estimate(report, spec), rel=1e-6)
+    assert spec.tol < report.grad_norm <= diag["grad_floor_estimate"]
 
 
 def test_descent_without_decrease_is_a_line_search_failure(monkeypatch):

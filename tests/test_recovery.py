@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfgplan import model as model_module
 from mfgplan.grid import Grid
+from mfgplan.model import build_model, power_coupling, power_hamiltonian
 from mfgplan.planning import (
     PlanningSpec,
     PotentialPair,
@@ -183,3 +185,26 @@ def test_hj_residual_is_gauge_invariant(seed):
     _, base = _hj_parts(spec, sol.u, sol.m)
     _, shifted = _hj_parts(spec, sol.u + shift[:, None], sol.m)
     np.testing.assert_allclose(shifted, base, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_recover_reuses_the_solver_slopes(monkeypatch, order):
+    g = Grid(17, 16, 1.0)
+    model = build_model(power_hamiltonian(1.5), power_coupling(2.5))
+    spec = PlanningSpec(grid=g, model=model, m0=sine_density(g.x), mT=sine_density(g.x, -0.1),
+                        order=order)
+    report = minimize(spec)
+    inversions = []
+    invert = model_module._invert_slope
+
+    def counted(ham, w):
+        inversions.append(np.size(w))
+        return invert(ham, w)
+
+    monkeypatch.setattr(model_module, "_invert_slope", counted)
+    reused = recover(spec, report.pair, report.slopes)
+    assert g.nt * g.nx not in inversions
+    fresh = recover(spec, report.pair)
+    assert g.nt * g.nx in inversions
+    for name in ("u", "m", "theta", "residual_hj", "residual_fp"):
+        assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name

@@ -26,11 +26,16 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     [
         ("refinement_study.py", ("--levels", "2")),
         ("congestion_sweep.py", ("--alphas", "0.5", "--nt", "7", "--nx", "8")),
+        ("refinement_study.py", ("--order", "1", "--levels", "2")),
     ],
 )
 def test_script_runs(name, args):
     proc = run_script(name, *args)
     assert proc.returncode == 0, proc.stderr
+    if name == "refinement_study.py":  # every level prints its exit reason
+        rows = [line for line in proc.stdout.splitlines() if line.split()[0][0].isdigit()]
+        assert len(rows) == int(args[-1])
+        assert all(line.split()[-1] == "converged" for line in rows)
 
 
 def test_hughes_fronts_writes_profiles(tmp_path):
