@@ -73,8 +73,9 @@ class Hamiltonian:
 class Lagrangian:
     """Convex conjugate of a Hamiltonian: ``eval`` is L, ``derivative`` is L'.
 
-    ``derivative`` inverts the Hamiltonian slope: ``L' = (H')^{-1}``.  Both
-    callables accept and return ndarrays of any shape.
+    ``derivative(w, start=None)`` inverts the Hamiltonian slope: ``L' = (H')^{-1}``;
+    ``start``, shaped like ``w``, may guess the result.  Both callables accept and
+    return ndarrays of any shape.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -101,32 +102,39 @@ class SpatialPotential:
         return np.broadcast_to(v, (grid.nx,)).copy()
 
 
-def _bracket_slope(ham: Hamiltonian, w: np.ndarray) -> tuple[np.ndarray, ...]:
+def _bracket_slope(ham: Hamiltonian, w: np.ndarray, center=0.0, h=1.0) -> tuple[np.ndarray, ...]:
     """Expand [lo, hi] until H'(lo) <= w <= H'(hi) elementwise.
 
-    Returns ``(lo, H'(lo), hi, H'(hi))``.
+    Each end grows from ``center -/+ h``, doubling its offset, and gives up once the
+    offset passes ``2**63 + |center|``.  Returns ``(lo, H'(lo), hi, H'(hi))``.
     """
     ends = []
-    for start, short, side in ((1.0, np.less, "exceeds"), (-1.0, np.greater, "below")):
-        end = np.full(w.shape, start)
-        for _ in range(64):
+    reach = 2.0**63 + np.abs(center)
+    for sign, short, side in ((1.0, np.less, "exceeds"), (-1.0, np.greater, "below")):
+        off = np.zeros(w.shape) + h
+        end = center + sign * off
+        while True:
             fend = ham.derivative(end)
             need = short(fend, w)
             if not need.any():
                 break
-            end = np.where(need, 2.0 * end, end)
-        else:
-            bad = float(np.asarray(w)[short(ham.derivative(end), w)].flat[0])
-            raise RuntimeError(
-                f"Legendre transform failed: slope w={bad:.6g} {side} the range of H'"
-            )
+            lost = need & (off >= reach)
+            if lost.any():
+                bad = float(np.asarray(w)[lost].flat[0])
+                raise RuntimeError(
+                    f"Legendre transform failed: slope w={bad:.6g} {side} the range of H'"
+                )
+            off = np.where(need, 2.0 * off, off)
+            end = np.where(need, center + sign * off, end)
         ends = [end, fend] + ends
     return tuple(ends)
 
 
-def _invert_slope(ham: Hamiltonian, w: np.ndarray) -> np.ndarray:
+def _invert_slope(ham: Hamiltonian, w: np.ndarray, start=None) -> np.ndarray:
     """Solve H'(p) = w elementwise by secant steps guarded by the slope bracket.
 
+    ``start``, a guess of the roots shaped like ``w`` (the slopes of a nearby point),
+    grows the bracket from ``start +/- 1e-2 (1 + |start|)`` instead of ``+/-1``.
     Secant steps through each element's best point (the bracket end with the
     smaller ``|H'(p) - w|``) and its last other point start at the
     regula-falsi point of the :func:`_bracket_slope` bracket; a step out of
@@ -141,7 +149,8 @@ def _invert_slope(ham: Hamiltonian, w: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         bad = float(w[~np.isfinite(w)].flat[0])
         raise RuntimeError(f"Legendre transform failed: slope w={bad:.6g} is not finite")
-    lo, flo, hi, fhi = _bracket_slope(ham, w)
+    center, h = (0.0, 1.0) if start is None else (start, 1e-2 * (1.0 + np.abs(start)))
+    lo, flo, hi, fhi = _bracket_slope(ham, w, center, h)
     shape, out, todo = w.shape, np.empty(w.size), np.arange(w.size)
     w, lo, hi = w.ravel(), lo.ravel(), hi.ravel()
     a, fa, b, fb = lo, np.ravel(flo) - w, hi, np.ravel(fhi) - w
@@ -182,14 +191,14 @@ def lagrangian_from_hamiltonian(ham: Hamiltonian) -> Lagrangian:
     if ham.name == "quadratic":
         return Lagrangian(
             eval=lambda w: 0.5 * np.square(np.asarray(w, dtype=float)),
-            derivative=lambda w: np.asarray(w, dtype=float).copy(),
+            derivative=lambda w, start=None: np.asarray(w, dtype=float).copy(),
         )
 
     def L(w: np.ndarray) -> np.ndarray:
         p = _invert_slope(ham, w)
         return p * np.asarray(w, dtype=float) - ham.eval(p)
 
-    return Lagrangian(eval=L, derivative=lambda w: _invert_slope(ham, w))
+    return Lagrangian(eval=L, derivative=lambda w, start=None: _invert_slope(ham, w, start))
 
 
 @dataclass(frozen=True)
@@ -218,15 +227,16 @@ class PerspectiveL0:
             raise ValueError("perspective partials require y > 0")
         return self._value_and_partials(*np.broadcast_arrays(z, y))[1:]
 
-    def _value_and_partials(self, z, y):
+    def _value_and_partials(self, z, y, start=None):
         """``(y L(z/y), p, -H(p))`` at ``y >= 0`` from one slope inversion ``p = L'(z/y)``.
 
         ``L(w) = p w - H(p)`` (the quadratic model keeps ``w^2 / 2``); nodes with
-        ``y = 0`` take the boundary value and carry ``p`` at ``w = z``.
+        ``y = 0`` take the boundary value and carry ``p`` at ``w = z``.  ``start``
+        guesses ``p`` (:meth:`Lagrangian.derivative`).
         """
         pos = y > 0
         w = z / np.where(pos, y, 1.0)
-        p = self.lagrangian.derivative(w)
+        p = self.lagrangian.derivative(w, start)
         minus_h = -self.hamiltonian.eval(p)
         lw = self.lagrangian.eval(w) if self.hamiltonian.name == "quadratic" else p * w + minus_h
         vals = np.where(pos, y * lw, 0.0)

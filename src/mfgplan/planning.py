@@ -15,20 +15,23 @@ Gradients are returned as quadrature-weighted (L2) Riesz representatives
 rather than raw partial derivatives: the q-component of the gradient is then
 literally the integral ``int_T dL/dq dx`` whose vanishing characterizes
 stationarity in q, so the optimizer's termination test doubles as the
-stationarity certificate.  The minimizer is projected gradient descent with
-monotone Armijo backtracking, run in a fixed elliptic metric: descent
-directions come from inverting the constant-coefficient part of the Hessian
-at the uniform state (banded in time per x-mode, Cholesky-factored once per
-solve), which keeps the iteration count essentially grid-independent where
-a raw gradient loop stalls on the stiff fine grids.  Every accepted iterate
-is feasible (pinned rows exact, slice means zero, density at or above the
+stationarity certificate.  The minimizer is projected L-BFGS (Liu & Nocedal
+1989) with monotone Armijo backtracking whose initial inverse Hessian is a
+fixed elliptic metric: the inverse of the constant-coefficient part of the
+Hessian at the uniform state (banded in time per x-mode, Cholesky-factored
+once per solve), which keeps the iteration count essentially grid-independent
+where a raw gradient loop stalls on the stiff fine grids; a few curvature
+pairs add what the constant coefficients miss.  Every accepted iterate is
+feasible (pinned rows exact, slice means zero, density at or above the
 configured floor).  The slope inversion ``p = L'(z / y)`` behind a trial
-point's objective also gives the partials of its gradient, if accepted.
+point's objective starts from the accepted point's slopes and also gives
+the partials of its gradient, if accepted.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,18 +143,21 @@ def potential_fields(grid: Grid, pp: PotentialPair, order: int) -> tuple[Field, 
 
     The Laplacean of ``phi`` is taken difference-first, ``(fwd - roll(fwd, 1)) / dx^2``
     with ``fwd = roll(phi, -1) - phi`` (increments of close neighbours are exact).  With
-    a low part the field is ``phi + lo``: the stencils applied to ``lo`` are added
-    before ``q`` and the 1, so a zero ``lo`` moves no bit.
+    a low part the field is ``phi + lo``: the stencils of ``lo``, its x-derivatives
+    taken from its forward increments alike, are added before ``q`` and the 1, so a
+    zero ``lo`` moves no bit.
     """
     phi, lo = pp.phi, pp.lo
     flux, dens = dt_interior(grid, phi), dx_periodic(grid, phi)
     if lo is not None:
-        flux, dens = flux + dt_interior(grid, lo), dens + dx_periodic(grid, lo)
-    flux = flux + pp.q[:, None]
+        fwd_lo = np.roll(lo, -1, axis=1) - lo
+        back_lo = np.roll(fwd_lo, 1, axis=1)
+        flux, dens = flux + dt_interior(grid, lo), dens + (fwd_lo + back_lo) / (2.0 * grid.dx)
+    flux += pp.q[:, None]
     if order == 1:
         fwd = np.roll(phi, -1, axis=1) - phi
         lap = (fwd - np.roll(fwd, 1, axis=1)) / grid.dx**2
-        flux = flux - (lap if lo is None else lap + dxx_periodic(grid, lo))
+        flux -= lap if lo is None else lap + (fwd_lo - back_lo) / grid.dx**2
     return flux, dens + 1.0
 
 
@@ -237,13 +243,14 @@ def initial_guess(spec: PlanningSpec) -> PotentialPair:
     return PotentialPair(phi=phi, q=np.zeros(g.nt))
 
 
-def _evaluate(spec: PlanningSpec, pp: PotentialPair):
-    """:func:`objective` and the terms ``(z, y, (p, -H(p)))`` of its one slope inversion."""
+def _evaluate(spec: PlanningSpec, pp: PotentialPair, start: Field | None = None):
+    """:func:`objective` and the terms ``(z, y, (p, -H(p)))`` of its one slope inversion,
+    started from ``start`` (:meth:`PerspectiveL0._value_and_partials`)."""
     g = spec.grid
     z, y = potential_fields(g, pp, spec.order)
     if np.min(y) < 0.0:
         return np.inf, None
-    l0, p, minus_h = spec.model.perspective._value_and_partials(z, y)
+    l0, p, minus_h = spec.model.perspective._value_and_partials(z, y, start)
     if not np.all(np.isfinite(l0)):
         return np.inf, None
     v = spec.model.potential.sample(g)[None, :]
@@ -324,11 +331,9 @@ def _gradient(spec: PlanningSpec, z: Field, y: Field, partials=None) -> tuple[Fi
 
 
 def pair_inner(grid: Grid, a: tuple[Field, TimeSeries], b: tuple[Field, TimeSeries]) -> float:
-    """Weighted inner product of two (phi, q) directions."""
+    """Weighted inner product of two (phi, q) directions, row sums first."""
     w = time_weights(grid)
-    return float(
-        np.sum(st_weights(grid) * a[0] * b[0]) + np.sum(w * a[1] * b[1])
-    )
+    return float(grid.dx * (w @ np.einsum("ij,ij->i", a[0], b[0])) + w @ (a[1] * b[1]))
 
 
 def clip_to_floor(spec: PlanningSpec, phi: Field, lo: Field | None = None) -> Field | tuple:
@@ -453,13 +458,39 @@ def _sup_norm(gphi: Field, gq: TimeSeries) -> float:
     return max(float(np.max(np.abs(gphi))), float(np.max(np.abs(gq))))
 
 
+_LBFGS_MEMORY = 4  # curvature pairs kept by :func:`minimize`, two fields each
+
+
+def _two_loop(grid: Grid, pairs, grad, metric) -> tuple[Field, TimeSeries]:
+    """L-BFGS direction ``-H grad`` (Nocedal & Wright, Alg. 7.4) in :func:`pair_inner`
+    from the pairs ``(s, y, 1 / <s, y>)`` of ``(phi, q)`` directions, oldest first,
+    with ``H0 = metric``."""
+    r, coefs = grad, []
+    for s, y, rho in reversed(pairs):
+        coefs.append(rho * pair_inner(grid, s, r))
+        r = (r[0] - coefs[-1] * y[0], r[1] - coefs[-1] * y[1])
+    r = metric(r)
+    for (s, y, rho), a in zip(pairs, reversed(coefs)):
+        b = a - rho * pair_inner(grid, y, r)
+        r = (r[0] + b * s[0], r[1] + b * s[1])
+    return -r[0], -r[1]
+
+
 def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveReport:
-    """Projected descent with Armijo backtracking in a fixed elliptic metric.
+    """Projected L-BFGS descent with Armijo backtracking in a fixed elliptic metric.
 
     Starts from :func:`initial_guess` unless ``start`` is given.  Every
     accepted iterate is feasible; the objective trace is nonincreasing.
     Terminates when the sup-norm of the projected gradient pair drops to
     ``spec.tol`` or the iteration budget runs out.
+
+    Directions come from L-BFGS (:func:`_two_loop`) with ``H0`` the factored metric
+    for ``phi`` and the identity for ``q``, on the last ``_LBFGS_MEMORY`` pairs ``(s, y)``
+    of an accepted step as taken (floor repairs included) and its change of gradient,
+    kept when ``<s, y> > 0`` (the others count as ``diagnostics["lbfgs_skipped_pairs"]``).  An
+    uphill direction or a failed line search clears the pairs
+    (``diagnostics["lbfgs_resets"]``) and reruns the iteration in the metric alone; the
+    raw projected gradient is the last fallback.
 
     The line search runs in two phases.  While the predicted decrease
     ``-alpha * slope`` is resolvable in double precision, steps must pass a
@@ -488,8 +519,9 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
     Raises
     ------
     RuntimeError
-        If a full Armijo sweep cannot find any decrease even though the
-        predicted decrease was resolvable ("line-search failure").
+        If a full Armijo sweep along the metric direction cannot find any
+        decrease even though the predicted decrease was resolvable
+        ("line-search failure").
     """
     t_start = time.perf_counter()
     g = spec.grid
@@ -506,7 +538,9 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
     lpp, gp1 = _curvatures(spec)
     precondition = _build_preconditioner(spec, lpp, gp1)
     w_field = st_weights(g)
-    wt = time_weights(g)
+
+    def metric(r):  # H0: the factored metric for phi, the identity for q
+        return precondition(w_field * r[0]), r[1]
 
     gphi, gq = _gradient(spec, *terms)
     gnorm = _sup_norm(gphi, gq)
@@ -514,14 +548,15 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
     iters = 0
     backtracks = 0
     alpha = 1.0
+    pairs = deque(maxlen=_LBFGS_MEMORY)
+    resets = skipped = 0
 
     stalled = False
     while not converged and not stalled and iters < spec.max_iters:
         iters += 1
-        dphi_dir = -precondition(w_field * gphi)
-        dq_dir = -gq
-        slope = float(np.sum(w_field * gphi * dphi_dir) + np.sum(wt * gq * dq_dir))
-        if not slope < 0:
+        dphi_dir, dq_dir = _two_loop(g, pairs, (gphi, gq), metric)
+        slope = pair_inner(g, (gphi, gq), (dphi_dir, dq_dir))
+        if not slope < 0 and not pairs:
             # fall back to the raw projected gradient direction
             dphi_dir, dq_dir = -gphi, -gq
             slope = -pair_inner(g, (gphi, gq), (gphi, gq))
@@ -534,10 +569,10 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
         descent = -slope > resolution
         alpha = min(1.0, 4.0 * alpha) if descent else 1.0
         accepted = False
-        for _ in range(80 if descent else 24):
+        for _ in range(0 if not slope < 0 else 80 if descent else 24):
             phi_t, lo_t = clip_to_floor(spec, *_two_sum(phi, lo, alpha * dphi_dir))
             q_t = q + alpha * dq_dir
-            f_t, terms_t = _evaluate(spec, PotentialPair(phi_t, q_t, lo_t))
+            f_t, terms_t = _evaluate(spec, PotentialPair(phi_t, q_t, lo_t), terms[2][0])
             if descent:
                 accepted = f_t <= f + 1e-4 * alpha * slope or f_t < f
             elif f_t <= f + resolution:
@@ -548,6 +583,10 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
             alpha *= 0.5
             backtracks += 1
         if not accepted:
+            if pairs:  # uphill or no progress along the pairs' direction: retry in the metric
+                pairs.clear()
+                resets, iters, alpha = resets + 1, iters - 1, 1.0
+                continue
             if descent:
                 raise RuntimeError(
                     "line-search failure: no descent over a full backtracking "
@@ -555,9 +594,17 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
                 )
             stalled = True  # no numerical progress left at this precision
             break
+        # the step taken: alpha d except on rows clip_to_floor repaired
+        step = ((phi_t - phi) + (lo_t - lo), q_t - q)
         phi, lo, q, terms = phi_t, lo_t, q_t, terms_t
         f = f_t if descent else min(f, f_t)
-        gphi, gq = _gradient(spec, *terms) if descent else grad_t
+        new = _gradient(spec, *terms) if descent else grad_t
+        change, (gphi, gq) = (new[0] - gphi, new[1] - gq), new
+        sy = pair_inner(g, step, change)
+        if sy > 0:
+            pairs.append((step, change, 1.0 / sy))
+        else:
+            skipped += 1
 
         trace.append(f)
         dens_trace.append(float(np.min(terms[1])))
@@ -584,6 +631,8 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
         "grad_floor_estimate": floor_estimate,
         "grad_norm_iterate": "phi + lo; solution_phi.csv holds phi",
         "lo_sup": float(np.max(np.abs(lo))),
+        "lbfgs_resets": resets,
+        "lbfgs_skipped_pairs": skipped,
     }
     return SolveReport(
         pair=pair,

@@ -406,6 +406,22 @@ def test_identical_configs_byte_identical_outputs(tmp_path, model):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
+def test_planning_report_counts_lbfgs_work(tmp_path):
+    doc = planning_doc(output_dir=str(tmp_path / "out"))
+    doc["planning"].update(hamiltonian={"type": "power", "alpha": 1.5},
+                           coupling={"type": "power", "gamma": 2.5},
+                           m0={"type": "sine", "amplitude": 0.1, "mode": 1})
+    assert run(parse_config(write_config(tmp_path, doc)), quiet=True) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    diag = report["diagnostics"]
+    for key in ("lbfgs_resets", "lbfgs_skipped_pairs"):
+        assert isinstance(diag[key], int) and 0 <= diag[key] <= report["iterations"], key
+    # the counters stay out of diagnostics.csv: the objective trace, one row per iterate
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert rows[0] == "iteration,objective"
+    assert len(rows) == report["iterations"] + 2
+
+
 @pytest.mark.parametrize("rung", ["planning_sine", "order1_257x256"])
 def test_double_double_iterate_reruns_byte_identical(tmp_path, rung):
     if rung == "planning_sine":

@@ -102,6 +102,53 @@ def test_invert_slope_mixed_magnitudes(alpha):
     assert np.array_equal(p, alone)
 
 
+@pytest.mark.parametrize("alpha", [1.5, 3.0])
+def test_warm_started_inversion_agrees_with_cold(alpha):
+    # A start only moves the bracket: near, far (1e6 away) or on the wrong side
+    # of the root, every element lands within the inversion's tolerance.  Each
+    # call stops inside a final bracket 2e-15 (1 + |p|) wide, so two calls agree
+    # to twice that (random slopes of either sign reach 17 ulps apart).
+    ham = power_hamiltonian(alpha)
+    mags = np.array([0.0, 1e-12, 1e-3, 0.4, 7.3, 1e2, 1e4])
+    rng = np.random.default_rng(int(10 * alpha))
+    spread = rng.choice([-1.0, 1.0], 2000) * 10 ** rng.uniform(-12, 4, 2000)
+    w = np.concatenate([mags, -mags[1:], spread])
+    cold = model._invert_slope(ham, w)
+    starts = {
+        "near": cold * (1.0 + 1e-3) + 1e-9,
+        "far above": cold + 1e6,
+        "far below": cold - 1e6,
+        "wrong side": -2.0 * cold - np.sign(cold) - 0.5,
+        "zero": np.zeros_like(w),
+    }
+    for label, start in starts.items():
+        warm = model._invert_slope(ham, w, start)
+        assert np.all(np.abs(warm - cold) <= 4e-15 * (1.0 + np.abs(cold))), label
+
+
+BOUNDED = Hamiltonian(  # H = sqrt(1 + p^2): H' = p / sqrt(1 + p^2) stays inside (-1, 1)
+    eval=lambda p: np.sqrt(1.0 + np.square(p)),
+    derivative=lambda p: np.asarray(p, dtype=float) / np.sqrt(1.0 + np.square(p)),
+)
+
+
+@pytest.mark.parametrize("ham, w", [
+    (power_hamiltonian(1.5), [0.3, np.nan]),
+    (power_hamiltonian(1.5), [np.inf, 0.3]),
+    (BOUNDED, [0.3, 1.5]),
+    (BOUNDED, [-1.5, 0.3]),
+])
+@pytest.mark.parametrize("start", [[0.0, 0.0], [3.0, -2.0], [-1e6, 1e6]])
+def test_warm_started_inversion_raises_like_cold(ham, w, start):
+    w = np.array(w)
+    with pytest.raises(RuntimeError) as cold:
+        model._invert_slope(ham, w)
+    with pytest.raises(RuntimeError) as warm:
+        model._invert_slope(ham, w, np.array(start))
+    assert str(warm.value) == str(cold.value)
+    assert "not finite" in str(cold.value) or "the range of H'" in str(cold.value)
+
+
 def test_invert_slope_rejects_non_finite_slope():
     lag = lagrangian_from_hamiltonian(power_hamiltonian(1.5))
     with pytest.raises(RuntimeError, match="slope w=nan is not finite"):

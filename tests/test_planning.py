@@ -369,9 +369,9 @@ def test_power_model_inverts_the_slope_once_per_call(monkeypatch, order):
     calls = []
     invert = model_module._invert_slope
 
-    def counted(ham, w):
+    def counted(ham, w, start=None):
         calls.append(1)
-        return invert(ham, w)
+        return invert(ham, w, start)
 
     monkeypatch.setattr(model_module, "_invert_slope", counted)
     spec = sine_spec(model=build_model(power_hamiltonian(1.5), power_coupling(2.5)), order=order)
@@ -419,10 +419,10 @@ def test_minimize_inverts_full_grid_slopes_once_per_trial_point(monkeypatch):
     full = []
     invert = model_module._invert_slope
 
-    def counted(ham, w):
+    def counted(ham, w, start=None):
         if np.size(w) == spec.grid.nt * spec.grid.nx:
             full.append(1)
-        return invert(ham, w)
+        return invert(ham, w, start)
 
     monkeypatch.setattr(model_module, "_invert_slope", counted)
     report = minimize(spec)
@@ -430,6 +430,135 @@ def test_minimize_inverts_full_grid_slopes_once_per_trial_point(monkeypatch):
     # the start plus one trial per iteration plus one per backtrack; the
     # gradient of each accepted point reuses its trial's slopes
     assert len(full) == 1 + report.iterations + report.diagnostics["backtracks"]
+
+
+def _power_instance(nt: int, nx: int, order: int = 1) -> PlanningSpec:
+    g = Grid(nt=nt, nx=nx, horizon=1.0)
+    wave = 0.1 * np.sin(2 * np.pi * g.x) + 0.05 * np.cos(4 * np.pi * g.x)
+    return PlanningSpec(grid=g, model=_model("power"), m0=1.0 + wave, mT=1.0 - wave, order=order)
+
+
+def _counting_power_model(evaluations: list):
+    """The power model of :func:`_model` with every ``H'`` call recorded."""
+    ham = power_hamiltonian(1.5)
+
+    def derivative(p):
+        evaluations.append(np.size(p))
+        return ham.derivative(p)
+
+    spy = model_module.Hamiltonian(eval=ham.eval, derivative=derivative, name=ham.name)
+    return build_model(spy, power_coupling(2.5), cosine_potential(0.2))
+
+
+def test_warm_start_saves_slope_evaluations(monkeypatch):
+    # the same solve with every inversion started cold, then warm from the
+    # accepted point's slopes: fewer H' evaluations in all (the first trial,
+    # a long step from the start, may take more than a cold one)
+    runs = {}
+    invert = model_module._invert_slope
+    for label in ("cold", "warm"):
+        evaluations, inversions = [], []
+
+        def counted(ham, w, start=None, label=label, inversions=inversions):
+            inversions.append(1)
+            return invert(ham, w, start if label == "warm" else None)
+
+        monkeypatch.setattr(model_module, "_invert_slope", counted)
+        spec = dataclasses.replace(_power_instance(33, 32),
+                                   model=_counting_power_model(evaluations))
+        report = minimize(spec)
+        assert report.converged
+        runs[label] = evaluations, len(inversions), report
+    (cold, n_cold, r_cold), (warm, n_warm, r_warm) = runs["cold"], runs["warm"]
+    assert n_warm == n_cold  # as many inversions, each cheaper on average
+    assert len(warm) < len(cold) and sum(warm) < sum(cold)
+    assert np.max(np.abs(r_warm.pair.phi - r_cold.pair.phi)) <= 1e-10
+
+
+def test_lbfgs_cuts_iterations_in_the_banded_metric(monkeypatch):
+    spec = _power_instance(65, 64)
+    report = minimize(spec)
+    monkeypatch.setattr(planning_module, "_LBFGS_MEMORY", 0)  # every pair forgotten
+    metric_only = minimize(spec)
+    assert report.converged and metric_only.converged
+    assert report.iterations <= 0.75 * metric_only.iterations
+    assert np.all(np.diff(report.objective_trace) <= 0)
+    assert np.max(np.abs(report.pair.phi - metric_only.pair.phi)) <= 1e-10
+    assert report.diagnostics["lbfgs_resets"] == 0
+
+
+def test_lbfgs_stuck_below_resolution_retries_in_the_metric(monkeypatch):
+    # at tol = 1e-10 the pairs' direction stops contracting the gradient once f
+    # can no longer arbitrate steps; cleared, the metric direction goes on
+    spec = sine_spec(nt=65, nx=64, model=_model("power"), order=1, tol=1e-10)
+    report = minimize(spec)
+    assert report.converged and report.diagnostics["exit_reason"] == "converged"
+    assert report.diagnostics["lbfgs_resets"] >= 1
+    monkeypatch.setattr(planning_module, "_LBFGS_MEMORY", 0)
+    metric_only = minimize(spec)
+    assert metric_only.converged and report.iterations < metric_only.iterations
+
+
+def test_non_descent_direction_clears_the_memory(monkeypatch):
+    two_loop = planning_module._two_loop
+    memory = []
+
+    def flipped(grid, pairs, grad, metric):  # the first direction built from pairs points uphill
+        memory.append(len(pairs))
+        d = two_loop(grid, pairs, grad, metric)
+        return (-d[0], -d[1]) if pairs and memory.count(0) == 1 else d
+
+    monkeypatch.setattr(planning_module, "_two_loop", flipped)
+    report = minimize(_power_instance(33, 32))
+    assert report.converged and report.grad_norm <= 1e-8
+    assert report.diagnostics["lbfgs_resets"] == 1
+    # the flipped call is followed, in the same iteration, by one from an empty memory
+    k = memory.index(next(n for n in memory if n > 0))
+    assert memory[k + 1] == 0 and memory.count(0) == 2
+    assert len(memory) == report.iterations + 1
+    assert np.all(np.diff(report.objective_trace) <= 0)
+
+
+def test_curvature_pair_holds_the_step_taken_on_repaired_rows(monkeypatch):
+    # where clip_to_floor repairs rows, the step taken is not alpha d there: each
+    # stored pair must hold the change of the iterate it was built from
+    clip, evaluate, two_loop = (planning_module.clip_to_floor, planning_module._evaluate,
+                                planning_module._two_loop)
+    directions, points, newest = [], [], []
+
+    def repairing(spec, phi, lo=None):  # in the second iteration, row 3 comes back shrunk
+        phi, lo = (a.copy() for a in clip(spec, phi, lo))
+        if len(directions) == 2:
+            phi[3] *= 0.999
+            lo[3] = 0.0
+        return phi, lo
+
+    def recorded(spec, pp, start=None):
+        points.append((pp.phi, pp.lo, pp.q))
+        return evaluate(spec, pp, start)
+
+    def watched(grid, pairs, grad, metric):
+        directions.append(len(points))
+        newest.append(pairs[-1] if pairs else None)
+        return two_loop(grid, pairs, grad, metric)
+
+    monkeypatch.setattr(planning_module, "clip_to_floor", repairing)
+    monkeypatch.setattr(planning_module, "_evaluate", recorded)
+    monkeypatch.setattr(planning_module, "_two_loop", watched)
+    report = minimize(_power_instance(33, 32))
+    assert report.converged and report.diagnostics["lbfgs_resets"] == 0
+    # the accepted point of an iteration is the last one evaluated before the next direction
+    accepted = [points[n - 1] for n in directions]
+    checked = 0
+    for k in range(1, len(directions)):
+        if newest[k] is None or newest[k] is newest[k - 1]:
+            continue  # no pair stored (s.y <= 0)
+        (s_phi, s_q), (a, b) = newest[k][0], accepted[k - 1:k + 1]
+        taken = (b[0] - a[0]) + (b[1] - a[1])
+        assert np.max(np.abs(s_phi - taken)) <= 1e-15 * np.max(np.abs(taken)), k
+        assert np.array_equal(s_q, b[2] - a[2]), k
+        checked += k == 2
+    assert checked == 1  # the repaired step was stored and checked
 
 
 def test_minimize_computes_curvatures_once(monkeypatch):
@@ -496,9 +625,9 @@ def test_descent_without_decrease_is_a_line_search_failure(monkeypatch):
     evaluate = planning_module._evaluate
     calls = []
 
-    def start_only(spec, pp):  # every trial point is infeasible
+    def start_only(spec, pp, start=None):  # every trial point is infeasible
         calls.append(1)
-        return evaluate(spec, pp) if len(calls) == 1 else (np.inf, None)
+        return evaluate(spec, pp, start) if len(calls) == 1 else (np.inf, None)
 
     monkeypatch.setattr(planning_module, "_evaluate", start_only)
     with pytest.raises(RuntimeError, match="line-search failure"):

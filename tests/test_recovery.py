@@ -13,6 +13,7 @@ from mfgplan.planning import (
     PotentialPair,
     initial_guess,
     minimize,
+    potential_fields,
     random_feasible_pair,
 )
 from mfgplan.recovery import (
@@ -197,14 +198,27 @@ def test_recover_reuses_the_solver_slopes(monkeypatch, order):
     inversions = []
     invert = model_module._invert_slope
 
-    def counted(ham, w):
+    def counted(ham, w, start=None):
         inversions.append(np.size(w))
-        return invert(ham, w)
+        return invert(ham, w, start)
 
     monkeypatch.setattr(model_module, "_invert_slope", counted)
     reused = recover(spec, report.pair, report.slopes)
     assert g.nt * g.nx not in inversions
     fresh = recover(spec, report.pair)
     assert g.nt * g.nx in inversions
+    # given the very slopes a fresh inversion finds, recover is bit for bit the same
+    flux, m = potential_fields(g, report.pair, order)
+    cold = invert(model.hamiltonian, flux / m)
+    same = recover(spec, report.pair, cold)
     for name in ("u", "m", "theta", "residual_hj", "residual_fp"):
-        assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
+        assert np.array_equal(getattr(same, name), getattr(fresh, name)), name
+    # the solver's slopes come from inversions started at the previous iterate's: the
+    # cold roots to the inversion's tolerance (tests/test_model.py), and so is u
+    tol = 4e-15 * (1.0 + np.abs(cold))
+    assert np.all(np.abs(report.slopes - cold) <= tol)
+    assert np.array_equal(reused.m, fresh.m)
+    assert np.max(np.abs(reused.u - fresh.u)) <= np.max(tol)  # a sum of dx * slopes
+    for name in ("theta", "residual_hj", "residual_fp"):  # measured at most 1.5e-15 relative
+        a, b = getattr(reused, name), getattr(fresh, name)
+        assert np.max(np.abs(a - b)) <= 1e-14 * (1.0 + np.max(np.abs(b))), name
