@@ -79,12 +79,10 @@ class ConfigError(Exception):
 class RunConfig:
     """Validated run description; ``spec`` is the ready-to-solve object."""
 
-    schema_version: int
     mode: str
     seed: int
     output_dir: Path
     spec: object
-    raw: dict
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +101,7 @@ def _reject_unknown(block: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"schema violation at {path}.{key}: unknown key")
 
 
-def _number(value, path: str, lo=None, hi=None, lo_open=False, hi_open=False) -> float:
+def _number(value, path: str, lo=None, hi=None, lo_open=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"schema violation at {path}: expected a number, got {value!r}")
     v = float(value)
@@ -112,9 +110,8 @@ def _number(value, path: str, lo=None, hi=None, lo_open=False, hi_open=False) ->
     if lo is not None and (v <= lo if lo_open else v < lo):
         bracket = "(" if lo_open else "["
         raise ConfigError(f"range violation at {path}: {v:g} outside {bracket}{lo:g}, ...")
-    if hi is not None and (v >= hi if hi_open else v > hi):
-        bracket = ")" if hi_open else "]"
-        raise ConfigError(f"range violation at {path}: {v:g} outside ..., {hi:g}{bracket}")
+    if hi is not None and v >= hi:
+        raise ConfigError(f"range violation at {path}: {v:g} outside ..., {hi:g})")
     return v
 
 
@@ -154,7 +151,7 @@ def _density_from(entry, grid: Grid, path: str) -> np.ndarray:
     if kind in ("sine", "cosine"):
         _reject_unknown(block, {"type", "amplitude", "mode"}, path)
         amp = _number(block.get("amplitude", 0.1), f"{path}.amplitude",
-                      lo=-1.0, hi=1.0, lo_open=True, hi_open=True)
+                      lo=-1.0, hi=1.0, lo_open=True)
         mode = _integer(block.get("mode", 1), f"{path}.mode", lo=1)
         wave = np.sin if kind == "sine" else np.cos
         return 1.0 + amp * wave(2.0 * np.pi * mode * x)
@@ -278,8 +275,7 @@ _CONGESTION_KEYS = {
 def _congestion_from(block: dict, grid: Grid, path: str) -> CongestionSpec:
     block = _as_block(block, path)
     _reject_unknown(block, _CONGESTION_KEYS, path)
-    alpha = _number(block.get("alpha", 0.5), f"{path}.alpha", lo=0.0, hi=2.0,
-                    lo_open=True, hi_open=True)
+    alpha = _number(block.get("alpha", 0.5), f"{path}.alpha", lo=0.0, hi=2.0, lo_open=True)
     mu = _number(block.get("mu", 1.0), f"{path}.mu", lo=0.0, lo_open=True)
     m0 = _density_from(_require(block, "m0", path), grid, f"{path}.m0")
     mT = _density_from(_require(block, "mT", path), grid, f"{path}.mT")
@@ -350,7 +346,7 @@ def _hughes_from(block: dict, path: str) -> HughesSpec:
                 k1=_number(sb.get("k1", 1.0), f"{path}.speed.k1", lo=0.0, lo_open=True),
                 k2=_number(sb.get("k2", 1.0), f"{path}.speed.k2", lo=0.0, lo_open=True),
                 beta=_number(sb.get("beta", 0.25), f"{path}.speed.beta",
-                             lo=0.0, hi=0.5, lo_open=True, hi_open=True),
+                             lo=0.0, hi=0.5, lo_open=True),
             )
         except ValueError as exc:
             raise ConfigError(f"range violation in {path}.speed: {exc}") from exc
@@ -415,8 +411,7 @@ def parse_config(path) -> RunConfig:
             spec = _congestion_from(block, grid, "congestion")
         else:
             spec = _target_from(block, grid, "validate")
-    return RunConfig(schema_version=version, mode=mode, seed=seed,
-                     output_dir=Path(output_dir), spec=spec, raw=doc)
+    return RunConfig(mode=mode, seed=seed, output_dir=Path(output_dir), spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -459,21 +454,9 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return ts, series
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
 def _write_report(path, summary: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(summary), fh, indent=2)
+        json.dump(summary, fh, indent=2, default=lambda a: a.tolist())  # numpy arrays and scalars
         fh.write("\n")
 
 

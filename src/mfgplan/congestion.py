@@ -72,6 +72,7 @@ from .planning import (
     initial_guess,
     potential_fields,
     project_tangent,
+    random_feasible_pair,
 )
 from .recovery import MFGSolution
 
@@ -135,15 +136,15 @@ class CongestionSpec:
         if self.eps_schedule is None:
             object.__setattr__(self, "eps_schedule", _default_schedule(self.k0))
         sched = tuple(float(e) for e in self.eps_schedule)
-        if not sched or any(e <= 0 for e in sched):
+        if not sched or any(not e > 0 for e in sched):  # NaN entries included
             raise ValueError("eps schedule must be nonempty and positive")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ValueError("eps schedule must be strictly decreasing")
         if sched[0] > self.k0:
             raise ValueError(f"eps schedule starts above k0={self.k0:.3e}")
         object.__setattr__(self, "eps_schedule", sched)
-        if self.tol_fp <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tol_fp < np.inf:
+            raise ValueError("tolerance must be positive and finite")
 
     @property
     def k0(self) -> float:
@@ -298,9 +299,8 @@ class _Level:
     is ``eps (W + dt dx R)`` with its factored tangent-space ``solve``, ``ab``
     the SPD tridiagonal q-block ``eps (M + K)`` (lower banded), ``wt`` is ``M``.
     ``precondition`` applies the inverse of the Newton-Krylov Jacobian at the
-    uniform state (:func:`_newton_polish`; ``None`` for a level built with
-    ``newton=False``).  ``interp`` does not depend on ``eps``, so
-    :func:`solve_congestion` passes one to every level.
+    uniform state (:func:`_newton_polish`).  ``interp`` does not depend on
+    ``eps``, so :func:`solve_congestion` passes one to every level.
     """
 
     eps: float
@@ -311,23 +311,10 @@ class _Level:
     solve: Callable[[Field], Field]
     ab: np.ndarray
     wt: TimeSeries
-    precondition: Callable[[np.ndarray], np.ndarray] | None
+    precondition: Callable[[np.ndarray], np.ndarray]
 
 
-def _q_block(g: Grid, eps: float) -> np.ndarray:
-    """``eps (M + K)`` in lower banded storage: trapezoid mass plus Neumann stiffness."""
-    diag = time_weights(g)
-    diag[:-1] += 1.0 / g.dt
-    diag[1:] += 1.0 / g.dt
-    ab = np.zeros((2, g.nt))
-    ab[0] = eps * diag
-    ab[1, :-1] = eps * (-1.0 / g.dt)
-    return ab
-
-
-def _level(
-    spec: CongestionSpec, eps: float, interp: Field | None = None, newton: bool = True
-) -> _Level:
+def _level(spec: CongestionSpec, eps: float, interp: Field | None = None) -> _Level:
     g = spec.grid
     view = spec.planning_view(floor=eps)
     interp = initial_guess(view).phi if interp is None else interp
@@ -337,9 +324,12 @@ def _level(
     bands = eps * g.dt * g.dx * _regularizer_bands(g)
     bands[0] += eps * g.dx * wt[:, None]
     op = ModeBanded(g, bands)
-    ab = _q_block(g, eps)
-    if not newton:
-        return _Level(eps, view, lift, interp, op, op.factor(), ab, wt, None)
+    diag = wt.copy()  # eps (M + K): trapezoid mass plus Neumann stiffness, lower banded
+    diag[:-1] += 1.0 / g.dt
+    diag[1:] += 1.0 / g.dt
+    ab = np.zeros((2, g.nt))
+    ab[0] = eps * diag
+    ab[1, :-1] = eps * (-1.0 / g.dt)
     lin = bands.copy()  # W F1 linearised at y = 1, z = 0: the planning metric, L'' = 1, g' = mu
     lin[:3] += _metric_bands(g, 0, 1.0, spec.mu)
     phi_block, q_block = ModeBanded(g, lin).factor(), np.vstack([ab[0] + wt, ab[1]])
@@ -351,21 +341,17 @@ def _level(
     return _Level(eps, view, lift, interp, op, op.factor(), ab, wt, precondition)
 
 
-def inner_phi_solve(spec: CongestionSpec, eps: float, pp0: PotentialPair) -> Field:
-    """Minimize the frozen-operator quadratic over the constraint set.
+def _sweep(spec: CongestionSpec, lvl: _Level, pp: PotentialPair) -> tuple[Field, TimeSeries]:
+    """One sweep ``S(pp)`` of both inner solvers with the operator frozen at ``pp``.
 
-    Exact solve on the pinned/mean-free subspace (``eps (W + dt dx R)``,
-    factored once per continuation level; this entry factors only that system),
-    then a density repair if the floor ``phi_x + 1 >= eps`` is violated.
-    The returned field never has a larger objective than the time-linear
-    interpolant of the boundary slices (which is the fallback candidate).
+    phi: exact solve on the pinned/mean-free subspace, then a density repair if
+    the floor ``phi_x + 1 >= eps`` is violated; the interpolant replaces the
+    result if its objective is lower.  q: the tridiagonal solve, its residual
+    guarded.
     """
-    return _phi_solve(spec, _level(spec, eps, newton=False), apply_F(spec, pp0, eps=eps).f1)
-
-
-def _phi_solve(spec: CongestionSpec, lvl: _Level, f1: Field) -> Field:
-    """:func:`inner_phi_solve` given the level and the frozen image ``F1(pp0)``."""
     g, eps = spec.grid, lvl.eps
+    img = apply_F(spec, pp, eps=eps)
+    f1 = img.f1
     phi = lvl.lift + lvl.solve(-(st_weights(g) * f1 + lvl.op.apply(lvl.lift)))
     if np.min(dx_periodic(g, phi) + 1.0) < eps:
         phi = clip_to_floor(lvl.view, phi)
@@ -373,25 +359,28 @@ def _phi_solve(spec: CongestionSpec, lvl: _Level, f1: Field) -> Field:
     # published descent property holds even when the repair was engaged
     if inner_phi_objective(spec, eps, f1, phi) > inner_phi_objective(spec, eps, f1, lvl.interp):
         phi = lvl.interp
-    return phi
+    rhs = -lvl.wt * img.f2
+    q = solveh_banded(lvl.ab, rhs, lower=True)
+    # direct solve on an SPD tridiagonal system; guard the residual anyway
+    resid = _tridiag_apply(lvl.ab, q) - rhs
+    if float(np.max(np.abs(resid))) > 1e-10 * max(float(np.max(np.abs(rhs))), 1.0):
+        raise RuntimeError("tridiagonal solve residual above tolerance")
+    return phi, q
+
+
+def inner_phi_solve(spec: CongestionSpec, eps: float, pp0: PotentialPair) -> Field:
+    """Minimize the frozen-operator quadratic over the constraint set.
+
+    The phi half of :func:`_sweep` on the level's system ``eps (W + dt dx R)``.
+    The returned field never has a larger objective than the time-linear
+    interpolant of the boundary slices (which is the fallback candidate).
+    """
+    return _sweep(spec, _level(spec, eps), pp0)[0]
 
 
 def inner_q_solve(spec: CongestionSpec, eps: float, pp0: PotentialPair) -> TimeSeries:
-    """Solve eps (q - q'') = -F2(pp0) with natural (Neumann) ends."""
-    g = spec.grid
-    return _q_solve(_q_block(g, eps), time_weights(g), apply_F(spec, pp0, eps=eps).f2)
-
-
-def _q_solve(ab: np.ndarray, wt: TimeSeries, f2: TimeSeries) -> TimeSeries:
-    """:func:`inner_q_solve` given the q-block, ``M`` and the frozen image ``F2(pp0)``."""
-    rhs = -wt * f2
-    q = solveh_banded(ab, rhs, lower=True)
-    # direct solve on an SPD tridiagonal system; guard the residual anyway
-    resid = _tridiag_apply(ab, q) - rhs
-    denom = max(float(np.max(np.abs(rhs))), 1.0)
-    if float(np.max(np.abs(resid))) > 1e-10 * denom:
-        raise RuntimeError("tridiagonal solve residual above tolerance")
-    return q
+    """Solve eps (q - q'') = -F2(pp0) with natural (Neumann) ends: the q half of :func:`_sweep`."""
+    return _sweep(spec, _level(spec, eps), pp0)[1]
 
 
 def _tridiag_apply(ab: np.ndarray, q: TimeSeries) -> TimeSeries:
@@ -402,9 +391,8 @@ def _tridiag_apply(ab: np.ndarray, q: TimeSeries) -> TimeSeries:
 
 
 def _sweep_residual(spec: CongestionSpec, lvl: _Level, pp: PotentialPair) -> float:
-    """Sup-norm distance of ``pp`` from its inner-solver sweep ``S(pp)`` (one ``apply_F``)."""
-    img = apply_F(spec, pp, eps=lvl.eps)
-    phi, q = _phi_solve(spec, lvl, img.f1), _q_solve(lvl.ab, lvl.wt, img.f2)
+    """Sup-norm distance of ``pp`` from its sweep ``S(pp)``."""
+    phi, q = _sweep(spec, lvl, pp)
     return max(float(np.max(np.abs(phi - pp.phi))), float(np.max(np.abs(q - pp.q))))
 
 
@@ -483,8 +471,8 @@ def _apriori(spec: CongestionSpec, eps: float, pp: PotentialPair, r0: float, you
 
 
 def _newton_polish(
-    spec: CongestionSpec, lvl: _Level, pp: PotentialPair, counts: dict | None = None
-) -> tuple[PotentialPair, str, int]:
+    spec: CongestionSpec, lvl: _Level, pp: PotentialPair, counts: dict
+) -> tuple[PotentialPair, str]:
     """Preconditioned Newton-Krylov on the stationarity system of the level.
 
     The fixed points of the inner-solver sweep are exactly the zeros of
@@ -501,18 +489,17 @@ def _newton_polish(
     ``eps (W + dtdx R) + dx (M_t' W_t M_t + mu s_k^2 W_t)`` per x-mode and
     ``eps (M + K) + M``, built by :func:`_level` and the first factored there
     once.  Trial points may dip below the floor, so the power fields are
-    evaluated with their bases floored at eps.  Returns the candidate, a
+    evaluated with their bases floored at eps.  Returns the candidate and a
     status (``"converged"``, scipy's message, or the error a bad trial point
     raised or why a non-finite result was discarded, ``pp`` then being
-    returned) and the floored-node count.  ``counts``, if given, receives
-    ``newton_nit`` (``None`` if the solve raised), ``newton_residual_evals``
-    and ``newton_floored_nodes``.  The caller re-verifies with a sweep.
+    returned).  ``counts`` receives ``newton_nit`` (``None`` if the solve
+    raised), ``newton_residual_evals`` and ``newton_floored_nodes``, the
+    trial nodes whose density was floored.  The caller re-verifies with a sweep.
     """
     g, eps = spec.grid, lvl.eps
     n_phi = g.nt * g.nx
     w = st_weights(g)
     scale = g.dt * g.dx
-    counts = {} if counts is None else counts
     counts.update(newton_nit=None, newton_residual_evals=0, newton_floored_nodes=0)
 
     def unpack(v: np.ndarray) -> PotentialPair:
@@ -545,14 +532,14 @@ def _newton_polish(
             },
         )
     except (ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        return pp, f"{type(exc).__name__}: {exc}", counts["newton_floored_nodes"]
+        return pp, f"{type(exc).__name__}: {exc}"
     counts["newton_nit"] = getattr(sol, "nit", None)
     if not np.all(np.isfinite(sol.x)):
-        return pp, f"non-finite result discarded: {sol.message}", counts["newton_floored_nodes"]
+        return pp, f"non-finite result discarded: {sol.message}"
     cand = unpack(sol.x)
     if np.min(dx_periodic(g, cand.phi) + 1.0) < eps:
         cand = PotentialPair(clip_to_floor(lvl.view, cand.phi), cand.q)
-    return cand, "converged" if sol.success else str(sol.message), counts["newton_floored_nodes"]
+    return cand, "converged" if sol.success else str(sol.message)
 
 
 def recover_congestion(spec: CongestionSpec, pp: PotentialPair) -> MFGSolution:
@@ -586,8 +573,6 @@ def weak_certificate(
     Nonnegativity (up to discretization slack) for every test pair is the
     discrete counterpart of the weak-solution property of ``pp``.
     """
-    from .planning import random_feasible_pair
-
     g = spec.grid
     pview = spec.planning_view(floor=min(1e-8, spec.k0 / 4))
     w = st_weights(g)
@@ -631,7 +616,7 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
         newton_status = None
         counts = {"newton_nit": None, "newton_residual_evals": 0, "newton_floored_nodes": 0}
         if resid > spec.tol_fp:
-            cand, newton_status, _ = _newton_polish(spec, lvl, pp, counts)
+            cand, newton_status = _newton_polish(spec, lvl, pp, counts)
             residuals.append(_sweep_residual(spec, lvl, cand))
             if residuals[-1] < resid:
                 pp, resid = cand, residuals[-1]

@@ -96,10 +96,6 @@ class Grid:
         """Space nodes ``j * dx`` in ``[0, 1)``, shape ``(nx,)``."""
         return np.arange(self.nx) / self.nx
 
-    def refined(self) -> "Grid":
-        """The grid with both mesh widths halved (``nt -> 2 nt - 1``, ``nx -> 2 nx``)."""
-        return Grid(2 * self.nt - 1, 2 * self.nx, self.horizon)
-
     def zeros(self) -> Field:
         return np.zeros((self.nt, self.nx))
 
@@ -197,25 +193,20 @@ def st_weights(grid: Grid) -> Field:
     return np.repeat(time_weights(grid)[:, None] * grid.dx, grid.nx, axis=1)
 
 
-def integrate_x(grid: Grid, f: np.ndarray, t_index: int | None = None):
+def integrate_x(grid: Grid, f: np.ndarray):
     """Integral over the circle by the rectangle rule.
 
-    ``integrate_x(grid, field, i)`` returns the scalar integral of time row
-    ``i``; with ``t_index=None`` it returns the length-``nt`` vector of all
-    row integrals.  A single ``(nx,)`` slice is also accepted and integrates
-    to a scalar.  On a uniform periodic mesh the rectangle rule coincides with
-    the trapezoid rule and is exact for full trigonometric periods.
+    A field integrates to the length-``nt`` vector of its row integrals, a
+    single ``(nx,)`` slice to a scalar.  On a uniform periodic mesh the
+    rectangle rule coincides with the trapezoid rule and is exact for full
+    trigonometric periods.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim == 1:
         if f.shape != (grid.nx,):
             raise ValueError(f"slice length {f.shape[0]} != nx={grid.nx}")
         return grid.dx * float(np.sum(f))
-    f = _as_field(grid, f)
-    row = grid.dx * np.sum(f, axis=1)
-    if t_index is None:
-        return row
-    return float(row[t_index])
+    return grid.dx * np.sum(_as_field(grid, f), axis=1)
 
 
 def integrate_xt(grid: Grid, f: Field) -> float:

@@ -241,11 +241,11 @@ def hopf_lax(spec: HughesSpec, t: float, x: float) -> tuple[float, float]:
     """Envelope value and its optimizer for one space-time point.
 
     The row evaluation of ``solve_hughes`` on the single point ``x``, so
-    both give the same values.  Raises ``ValueError`` for ``t <= 0`` or when the
-    optimizer lies beyond the law's transport bound ("window too small").
+    both give the same values.  Raises ``ValueError`` unless ``0 < t < inf`` and ``x``
+    is finite, or when the optimizer lies beyond the transport bound ("window too small").
     """
-    if t <= 0.0:
-        raise ValueError(f"positive time required, got t={t}")
+    if not (0.0 < t < np.inf and -np.inf < x < np.inf):
+        raise ValueError(f"finite positive time and finite x required, got t={t}, x={x}")
     value, ystar = _envelope(spec, cumulative_potential(spec), t, np.array([float(x)]))
     return float(value[0]), float(ystar[0])
 

@@ -105,16 +105,17 @@ class SpatialPotential:
 def _bracket_slope(ham: Hamiltonian, w: np.ndarray, center=0.0, h=1.0) -> tuple[np.ndarray, ...]:
     """Expand [lo, hi] until H'(lo) <= w <= H'(hi) elementwise.
 
-    Each end grows from ``center -/+ h``, doubling its offset, and gives up once the
-    offset passes ``2**63 + |center|``.  Returns ``(lo, H'(lo), hi, H'(hi))``.
+    Each end grows from ``center -/+ h``, doubling its offset (``H'`` is re-evaluated
+    only where it moved), and gives up once the offset passes ``2**63 + |center|``.
+    Returns ``(lo, H'(lo), hi, H'(hi))``.
     """
     ends = []
     reach = 2.0**63 + np.abs(center)
     for sign, short, side in ((1.0, np.less, "exceeds"), (-1.0, np.greater, "below")):
         off = np.zeros(w.shape) + h
         end = center + sign * off
+        fend = np.array(ham.derivative(end), dtype=float)  # a float copy, updated in place
         while True:
-            fend = ham.derivative(end)
             need = short(fend, w)
             if not need.any():
                 break
@@ -126,6 +127,7 @@ def _bracket_slope(ham: Hamiltonian, w: np.ndarray, center=0.0, h=1.0) -> tuple[
                 )
             off = np.where(need, 2.0 * off, off)
             end = np.where(need, center + sign * off, end)
+            fend[need] = ham.derivative(end[need])
         ends = [end, fend] + ends
     return tuple(ends)
 

@@ -115,8 +115,8 @@ class PlanningSpec:
             raise ValueError(
                 f"floor must satisfy 0 <= floor < min density {self.k0:.3e}, got {self.floor}"
             )
-        if self.tol <= 0 or self.max_iters < 1:
-            raise ValueError("tol must be positive and max_iters at least 1")
+        if not 0 < self.tol < np.inf or self.max_iters < 1:
+            raise ValueError("tol must be positive and finite, and max_iters at least 1")
 
     @property
     def k0(self) -> float:
@@ -489,8 +489,8 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
     of an accepted step as taken (floor repairs included) and its change of gradient,
     kept when ``<s, y> > 0`` (the others count as ``diagnostics["lbfgs_skipped_pairs"]``).  An
     uphill direction or a failed line search clears the pairs
-    (``diagnostics["lbfgs_resets"]``) and reruns the iteration in the metric alone; the
-    raw projected gradient is the last fallback.
+    (``diagnostics["lbfgs_resets"]``) and reruns the iteration in the metric alone,
+    whose direction ``-H0 grad`` descends for every nonzero gradient (``H0`` is SPD).
 
     The line search runs in two phases.  While the predicted decrease
     ``-alpha * slope`` is resolvable in double precision, steps must pass a
@@ -556,10 +556,6 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
         iters += 1
         dphi_dir, dq_dir = _two_loop(g, pairs, (gphi, gq), metric)
         slope = pair_inner(g, (gphi, gq), (dphi_dir, dq_dir))
-        if not slope < 0 and not pairs:
-            # fall back to the raw projected gradient direction
-            dphi_dir, dq_dir = -gphi, -gq
-            slope = -pair_inner(g, (gphi, gq), (gphi, gq))
 
         # descent phase while the predicted decrease is resolvable: monotone
         # Armijo backtracking; polish phase below the objective's floating-point

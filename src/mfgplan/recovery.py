@@ -142,7 +142,7 @@ def validate_solution(sol: MFGSolution, spec: PlanningSpec) -> dict[str, float]:
     from the prescribed marginals (a pure stencil error for smooth data).
     """
     g = spec.grid
-    mass = np.atleast_1d(integrate_x(g, sol.m))
+    mass = integrate_x(g, sol.m)
     return {
         "residual_hj_sup": float(np.max(np.abs(sol.residual_hj))),
         "residual_fp_sup": float(np.max(np.abs(sol.residual_fp))),

@@ -68,6 +68,12 @@ def test_spec_validation():
         CongestionSpec(grid=g, m0=np.full(16, 1.5))  # not normalized
     with pytest.raises(ValueError, match="m0 must be finite and strictly positive"):
         CongestionSpec(grid=g, m0=np.where(np.arange(16) == 5, np.nan, 1.0))
+    for tol_fp in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            CongestionSpec(grid=g, tol_fp=tol_fp)
+    for schedule in ((np.nan,), (0.1, np.nan), (0.1, np.nan, 0.01)):
+        with pytest.raises(ValueError, match="eps schedule must be nonempty and positive"):
+            CongestionSpec(grid=g, eps_schedule=schedule)
 
 
 def test_exponent_metadata():
@@ -410,22 +416,20 @@ def test_solve_factors_once_per_level_and_builds_bands_once(monkeypatch):
     assert congestion._regularizer_bands.cache_info().misses == 1
 
 
-def test_inner_phi_solve_factors_only_its_system(monkeypatch):
+def test_inner_solves_are_the_halves_of_one_sweep():
+    # a rough feasible base point at the last level: F1 and F2 are nonzero, and
+    # the linear solve dips below the floor, so the repair runs inside the sweep
     spec = sine_spec(alpha=0.5, mu=1.0)
     g = spec.grid
-    pp0 = PotentialPair(np.zeros((g.nt, g.nx)), np.zeros(g.nt))
     eps = spec.eps_schedule[-1]
-    expected = congestion._phi_solve(spec, _level(spec, eps), apply_F(spec, pp0, eps=eps).f1)
-    factors = []
-    factor = ModeBanded.factor
-
-    def counted(op):
-        factors.append(1)
-        return factor(op)
-
-    monkeypatch.setattr(ModeBanded, "factor", counted)
-    assert np.array_equal(inner_phi_solve(spec, eps, pp0), expected)
-    assert len(factors) == 1
+    rng = np.random.default_rng(11)
+    pp0 = random_feasible_pair(spec.planning_view(floor=eps), rng, amplitude=0.25)
+    lvl = _level(spec, eps)
+    phi, q = congestion._sweep(spec, lvl, pp0)
+    assert np.max(np.abs(q)) > 0 and not np.array_equal(phi, lvl.interp)
+    assert np.min(dx_periodic(g, phi) + 1.0) >= eps
+    assert np.array_equal(inner_phi_solve(spec, eps, pp0), phi)
+    assert np.array_equal(inner_q_solve(spec, eps, pp0), q)
 
 
 def test_solve_builds_the_interpolant_once(monkeypatch):
@@ -535,8 +539,9 @@ def test_newton_polish_reports_bad_trial_errors(monkeypatch, exc):
         raise exc
 
     monkeypatch.setattr(congestion, "root", failing_root)
-    cand, status, floored = _newton_polish(spec, _level(spec, eps), pp)
-    assert cand is pp and floored == 0
+    counts = {}
+    cand, status = _newton_polish(spec, _level(spec, eps), pp, counts)
+    assert cand is pp and counts["newton_floored_nodes"] == 0 and counts["newton_nit"] is None
     assert status == f"{type(exc).__name__}: {exc}"
 
 
@@ -550,7 +555,7 @@ def test_newton_polish_propagates_unexpected_errors(monkeypatch):
 
     monkeypatch.setattr(congestion, "root", broken_root)
     with pytest.raises(KeyError):
-        _newton_polish(spec, _level(spec, eps), pp)
+        _newton_polish(spec, _level(spec, eps), pp, {})
 
 
 def test_failed_newton_candidate_is_rejected(monkeypatch):

@@ -34,14 +34,6 @@ def test_grid_validation():
     assert g.dx == pytest.approx(0.125)
 
 
-def test_refined_halves_both_widths():
-    g = Grid(nt=9, nx=16, horizon=1.5)
-    r = g.refined()
-    assert (r.nt, r.nx) == (17, 32)
-    assert r.dt == pytest.approx(g.dt / 2)
-    assert r.dx == pytest.approx(g.dx / 2)
-
-
 def test_shape_mismatch_raises():
     g = Grid(nt=5, nx=8, horizon=1.0)
     with pytest.raises(ValueError):
@@ -98,11 +90,11 @@ def test_dt_interior_quadratic_orders():
 def test_integrate_x_and_xt():
     g = Grid(nt=9, nx=32, horizon=3.0)
     ones = np.ones((g.nt, g.nx))
-    assert integrate_x(g, ones, 0) == pytest.approx(1.0, abs=1e-15)
+    assert integrate_x(g, ones)[0] == pytest.approx(1.0, abs=1e-15)
     assert integrate_xt(g, ones) == pytest.approx(3.0, abs=1e-13)
 
     sine = np.sin(2 * np.pi * g.x)[None, :] * np.ones((g.nt, 1))
-    assert abs(integrate_x(g, sine, 4)) < 1e-15
+    assert abs(integrate_x(g, sine)[4]) < 1e-15
 
     ramp = g.t[:, None] * np.ones((1, g.nx))
     assert integrate_xt(g, ramp) == pytest.approx(g.horizon**2 / 2, abs=1e-13)

@@ -176,6 +176,14 @@ def test_hopf_lax_requires_positive_time():
         hopf_lax(spec, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("t, x", [(0.5, np.nan), (0.5, np.inf), (0.5, -np.inf),
+                                  (np.inf, 0.0), (np.nan, 0.0)])
+def test_hopf_lax_rejects_non_finite_points(t, x):
+    spec = HughesSpec(x_min=-1.0, x_max=1.0, rho0=np.full(9, 0.3), times=(0.5,))
+    with pytest.raises(ValueError, match="finite positive time and finite x required"):
+        hopf_lax(spec, t, x)
+
+
 def test_linear_lagrangian_matches_bracketed_search():
     law = LinearSpeed()
     ps = np.linspace(-6.0, 6.0, 600001)

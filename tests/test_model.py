@@ -149,6 +149,34 @@ def test_warm_started_inversion_raises_like_cold(ham, w, start):
     assert "not finite" in str(cold.value) or "the range of H'" in str(cold.value)
 
 
+def test_bracket_slope_evaluates_only_the_moved_ends():
+    ham = power_hamiltonian(1.5)
+    sizes = []
+
+    def recording(p):
+        sizes.append(np.size(p))
+        return ham.derivative(p)
+
+    spy = Hamiltonian(eval=ham.eval, derivative=recording)
+    w = np.array([[0.0, 0.5, -3.0], [40.0, -1e4, 1e6]])  # from 0 to 40 doublings
+    lo, flo, hi, fhi = model._bracket_slope(spy, w)
+    assert np.array_equal(flo, ham.derivative(lo)) and np.array_equal(fhi, ham.derivative(hi))
+    assert np.all(flo <= w) and np.all(w <= fhi)
+
+    expected = []
+    for sign, short in ((1.0, np.less), (-1.0, np.greater)):  # hi end first, as built
+        doublings = []
+        for wi in w.flat:
+            k = 0
+            while short(ham.derivative(sign * 2.0**k), wi):
+                k += 1
+            doublings.append(k)
+        assert np.array_equal(hi if sign > 0 else lo, sign * 2.0 ** np.reshape(doublings, w.shape))
+        # one call on every element, then one on the ends still short of w
+        expected += [w.size] + [sum(k > j for k in doublings) for j in range(max(doublings))]
+    assert sizes == expected
+
+
 def test_invert_slope_rejects_non_finite_slope():
     lag = lagrangian_from_hamiltonian(power_hamiltonian(1.5))
     with pytest.raises(RuntimeError, match="slope w=nan is not finite"):

@@ -16,6 +16,7 @@ from mfgplan.grid import (
     dxx_periodic,
     integrate_x,
     integrate_xt,
+    st_weights,
     time_stencil_matrix,
     time_weights,
 )
@@ -28,6 +29,7 @@ from mfgplan.planning import (
     _build_preconditioner,
     _evaluate,
     _gradient,
+    _two_loop,
     _two_sum,
     boundary_slices,
     clip_to_floor,
@@ -64,6 +66,9 @@ def test_spec_validation():
         PlanningSpec(grid=g, floor=2.0)  # floor above density minimum
     with pytest.raises(ValueError, match="m0 must be finite and strictly positive"):
         PlanningSpec(grid=g, m0=np.where(np.arange(8) == 3, np.nan, 1.0))
+    for tol in (0.0, -1e-8, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            PlanningSpec(grid=g, tol=tol)
     spec = PlanningSpec(grid=g)
     assert spec.k0 == pytest.approx(1.0)
 
@@ -473,6 +478,29 @@ def test_warm_start_saves_slope_evaluations(monkeypatch):
     assert n_warm == n_cold  # as many inversions, each cheaper on average
     assert len(warm) < len(cold) and sum(warm) < sum(cold)
     assert np.max(np.abs(r_warm.pair.phi - r_cold.pair.phi)) <= 1e-10
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("kind", ["quadratic", "power"])
+def test_empty_memory_direction_descends(kind, order):
+    # minimize has no raw-gradient fallback: with no pairs the direction is
+    # -H0 grad, H0 SPD, so its slope is negative for every nonzero gradient
+    spec = sine_spec(nt=17, nx=16, model=_model(kind), order=order)
+    g = spec.grid
+    precondition = _build_preconditioner(spec, *planning_module._curvatures(spec))
+
+    def metric(r):
+        return precondition(st_weights(g) * r[0]), r[1]
+
+    rng = np.random.default_rng(10 * order + len(kind))
+    for k in range(40):
+        scale = 10.0 ** rng.uniform(-8, 8)
+        gphi = scale * project_tangent(g, rng.standard_normal((g.nt, g.nx)))
+        gq = scale * rng.standard_normal(g.nt) * (k % 4 != 1)  # some with gq = 0
+        if k % 4 == 2:
+            gphi = 0.0 * gphi
+        d = _two_loop(g, (), (gphi, gq), metric)
+        assert pair_inner(g, (gphi, gq), d) < 0
 
 
 def test_lbfgs_cuts_iterations_in_the_banded_metric(monkeypatch):
