@@ -1,10 +1,9 @@
-"""Congestion exponent sweep: continuation diagnostics and certificates.
+"""Congestion exponent sweep: fixed-point diagnostics and certificates.
 
 For each alpha, runs the regularized fixed point on the sin-perturbed
-instance and reports the per-level iteration counts, the Newton-Krylov
-residual evaluations summed over the levels, the final residual, the
-weak-solution pairing minimum over random test pairs, and the a-priori
-integral bounds at the final level.
+instance at the default single level and reports its sweep count, the
+Newton-Krylov residual evaluations, the final residual, the weak-solution
+pairing minimum over random test pairs, and the a-priori integral bounds.
 
     python3 scripts/congestion_sweep.py [--alphas 0.5 1.0 1.5] [--nx 24 --nt 13]
 """

@@ -427,8 +427,8 @@ def write_field_csv(path, ts, xs, field) -> None:
     line = ",".join(["%.17g"] * (field.shape[1] + 1)) + "\n"
     with open(path, "w") as fh:
         fh.write("t," + ",".join(_fmt(x) for x in xs) + "\n")
-        for t, row in zip(ts, field):
-            fh.write(line % (t, *row))
+        for t, row in zip(np.asarray(ts, dtype=float).tolist(), field):
+            fh.write(line % (t, *row.tolist()))
 
 
 def write_series_csv(path, ts, series) -> None:

@@ -13,15 +13,17 @@ The solver regularizes: at level ``eps`` the pair must satisfy
     eps * (q - q'')              + F2(pair) = 0      (Neumann ends)
 
 whose self-map ``S`` (solve both with the operator frozen at the input)
-has the regularized solutions as fixed points.  The driver continues in a
-decreasing ``eps`` schedule, warm-starting each level.  A level whose start
-already passes one sweep of ``S`` is accepted (the trivial instance is
-exact in one sweep); otherwise Newton-Krylov solves the stationarity system
-from the start.  Iterating ``S`` itself does not pay: its local Lipschitz
-constant is on the order of ``1/eps`` on any nontrivial instance.  The
-Krylov solves are preconditioned by the level's system linearised at the
-uniform state, which adds the planning metric (``L'' = 1``, ``g' = mu``) to
-the phi block and ``M`` to the q block.
+has the regularized solutions as fixed points.  By default the driver
+solves the one target level ``eps = min(k0, 1e-4)`` from the time-linear
+interpolant; an explicit decreasing schedule warm-starts each level from
+the last.  A level whose start already passes one sweep of ``S`` is
+accepted (the trivial instance is exact in one sweep); otherwise
+Newton-Krylov solves the stationarity system from the start.  Iterating
+``S`` itself does not pay: its local Lipschitz constant is on the order of
+``1/eps`` on any nontrivial instance.  The Krylov solves are
+preconditioned by the level's system linearised at the uniform state,
+which adds the planning metric (``L'' = 1``, ``g' = mu``) to the phi block
+and ``M`` to the q block.
 
 The sixth-order form uses *undivided* difference stencils: one factor of
 ``Delta_t^j0 Delta_x^j1`` per multi-index with ``j0 + j1 = 6``, windows
@@ -93,24 +95,15 @@ __all__ = [
 ]
 
 
-def _default_schedule(k0: float) -> tuple[float, ...]:
-    """Geometric continuation levels from min(k0, 0.1) down to 1e-4."""
-    eps = min(k0, 1e-1)
-    out = []
-    while eps > 1e-4:
-        out.append(eps)
-        eps *= 0.5
-    out.append(1e-4)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class CongestionSpec:
     """Instance description for the congestion planning solver.
 
     ``alpha`` weights the density in the kinetic term, ``mu`` is the
     congestion power; the solvable range is ``alpha in (0, 2)``, ``mu > 0``
-    with ``alpha < mu + 1``.  Marginals default to uniform.
+    with ``alpha < mu + 1``.  Marginals default to uniform.  ``eps_schedule``
+    defaults to the target level ``(min(k0, 1e-4),)``; an explicit one is a
+    strictly decreasing continuation starting at most at ``k0``.
     """
 
     grid: Grid
@@ -134,7 +127,7 @@ class CongestionSpec:
         for name in ("m0", "mT"):
             object.__setattr__(self, name, check_marginal(g, getattr(self, name), name))
         if self.eps_schedule is None:
-            object.__setattr__(self, "eps_schedule", _default_schedule(self.k0))
+            object.__setattr__(self, "eps_schedule", (min(self.k0, 1e-4),))
         sched = tuple(float(e) for e in self.eps_schedule)
         if not sched or any(not e > 0 for e in sched):  # NaN entries included
             raise ValueError("eps schedule must be nonempty and positive")
@@ -292,15 +285,14 @@ def inner_phi_objective(spec: CongestionSpec, eps: float, f1: Field, phi: Field)
 
 @dataclass(frozen=True)
 class _Level:
-    """The systems of continuation level ``eps``, built and factored once.
+    """The systems of level ``eps``, built and factored once.
 
     ``view`` is the planning view with floor ``eps``, ``lift`` the zero field
     carrying its pinned rows, ``interp`` its time-linear interpolant; ``op``
     is ``eps (W + dt dx R)`` with its factored tangent-space ``solve``, ``ab``
     the SPD tridiagonal q-block ``eps (M + K)`` (lower banded), ``wt`` is ``M``.
     ``precondition`` applies the inverse of the Newton-Krylov Jacobian at the
-    uniform state (:func:`_newton_polish`).  ``interp`` does not depend on
-    ``eps``, so :func:`solve_congestion` passes one to every level.
+    uniform state (:func:`_newton_polish`).
     """
 
     eps: float
@@ -314,10 +306,10 @@ class _Level:
     precondition: Callable[[np.ndarray], np.ndarray]
 
 
-def _level(spec: CongestionSpec, eps: float, interp: Field | None = None) -> _Level:
+def _level(spec: CongestionSpec, eps: float) -> _Level:
     g = spec.grid
     view = spec.planning_view(floor=eps)
-    interp = initial_guess(view).phi if interp is None else interp
+    interp = initial_guess(view).phi
     lift = g.zeros()
     lift[0], lift[-1] = interp[0], interp[-1]
     wt = time_weights(g)
@@ -423,27 +415,15 @@ def apriori_diagnostics(spec: CongestionSpec, eps: float, pp: PotentialPair) -> 
     inequalities with closed-form suprema.  Only the first two integrals
     are covered by that constant; the third is reported without a bound.
     """
-    return _apriori(spec, eps, pp, *_interpolant_constants(spec)[1:])
-
-
-def _interpolant_constants(spec: CongestionSpec) -> tuple[PotentialPair, float, float]:
-    """The interpolant (floor-independent), its energy ``r0`` and the Young constant ``c1 + c2``."""
     g = spec.grid
+    w = st_weights(g)
     pp0 = initial_guess(spec.planning_view(floor=spec.k0 * 0.5))
     z0, y0 = potential_fields(g, pp0, 0)
     c1 = young_sup(float(np.max(y0)), spec.mu, spec.mu)
     c2 = young_sup(float(np.max(np.abs(z0))) ** 2 / spec.k0, spec.alpha, spec.mu)
-    w = st_weights(g)
     r0 = float(np.sum(w * pp0.phi * pp0.phi)) + g.dt * g.dx * regularizer_quadratic(g, pp0.phi)
-    return pp0, r0, c1 + c2
+    bound = 2.0 * (0.5 * eps * r0 + g.horizon * (c1 + c2))
 
-
-def _apriori(spec: CongestionSpec, eps: float, pp: PotentialPair, r0: float, young: float) -> dict:
-    """:func:`apriori_diagnostics` given the last two :func:`_interpolant_constants`."""
-    g = spec.grid
-    bound = 2.0 * (0.5 * eps * r0 + g.horizon * young)
-
-    w = st_weights(g)
     y = potential_fields(g, pp, 0)[1]
     mu_energy = float(integrate_xt(g, y ** (spec.mu + 1.0)))
     e_phi = float(np.sum(w * pp.phi**2)) + g.dt * g.dx * regularizer_quadratic(g, pp.phi)
@@ -589,27 +569,29 @@ def weak_certificate(
 
 
 def solve_congestion(spec: CongestionSpec) -> SolveReport:
-    """Continuation fixed-point driver; returns the report with the solution.
+    """Regularized fixed-point driver; returns the report with the solution.
 
-    Per level: one sweep of ``S`` from the (floor-clipped) start; if its
-    residual is above ``tol_fp``, a Newton-Krylov solve of the same
-    fixed-point equation runs from the start and its result is verified by
-    one more sweep.  The level keeps whichever of the start and the
-    candidate has the lower verified residual, so a failed solve never
-    poisons the continuation.  The report's trace carries every verified
-    residual (at most two per level); ``converged`` means every level met
-    ``tol_fp``.  Each level also reports its Newton-Krylov counts (see
-    :func:`_newton_polish`; ``None`` and zeros when no solve ran).
+    The levels are ``spec.eps_schedule``: by default the target level alone,
+    started from the time-linear interpolant; an explicit schedule starts
+    each level from the previous level's pair.  Per level: one sweep of
+    ``S`` from the (floor-clipped) start; if its residual is above
+    ``tol_fp``, a Newton-Krylov solve of the same fixed-point equation runs
+    from the start and its result is verified by one more sweep.  The level
+    keeps whichever of the start and the candidate has the lower verified
+    residual, so a failed solve never poisons a following level.  The
+    report's trace carries every verified residual (at most two per level);
+    ``converged`` means every level met ``tol_fp``.  Each level also reports
+    its Newton-Krylov counts (see :func:`_newton_polish`; ``None`` and zeros
+    when no solve ran).
     """
     t_start = time.perf_counter()
-    pp, r0, young = _interpolant_constants(spec)
-    interp = pp.phi
+    pp = initial_guess(spec.planning_view(floor=spec.eps_schedule[0]))
 
     trace: list[float] = []
     per_eps: list[dict] = []
 
     for eps in spec.eps_schedule:
-        lvl = _level(spec, eps, interp)
+        lvl = _level(spec, eps)
         pp = PotentialPair(clip_to_floor(lvl.view, pp.phi), pp.q)
         resid = _sweep_residual(spec, lvl, pp)
         residuals = [resid]
@@ -621,7 +603,7 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
             if residuals[-1] < resid:
                 pp, resid = cand, residuals[-1]
         trace.extend(residuals)
-        level_diag = _apriori(spec, eps, pp, r0, young)
+        level_diag = apriori_diagnostics(spec, eps, pp)
         level_diag.update(
             **counts,
             eps=eps,

@@ -250,7 +250,7 @@ class ModeBanded:
     the tangent space of :func:`mfgplan.planning.project_tangent`, which drops
     mode 0 and the end rows and leaves the interior of each ``A_k`` (one banded
     Cholesky each; the planning metric is factored once per ``minimize``, each
-    congestion phi system once per continuation level).
+    congestion phi system once per level).
     """
 
     grid: Grid

@@ -385,6 +385,22 @@ def test_congestion_report_counts_newton_work_per_level(tmp_path):
             assert level["newton_nit"] is None and level["newton_residual_evals"] == 0
 
 
+def test_congestion_default_schedule_runs_below_the_target_level(tmp_path):
+    # min density 5e-5 lies below the target level 1e-4, which the default caps at k0
+    doc = {
+        "schema_version": 1,
+        "mode": "congestion",
+        "output_dir": str(tmp_path / "out"),
+        "grid": {"nt": 13, "nx": 24},
+        "congestion": {"m0": {"type": "sine", "amplitude": 0.99995, "mode": 1}, "mT": "uniform"},
+    }
+    cfg = parse_config(write_config(tmp_path, doc))
+    assert cfg.spec.eps_schedule == (cfg.spec.k0,) and cfg.spec.k0 < 1e-4
+    assert run(cfg, quiet=True) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["converged"] is True and len(report["diagnostics"]["per_eps"]) == 1
+
+
 @pytest.mark.parametrize(
     "model",
     [

@@ -45,7 +45,7 @@ def sine_spec(nt=13, nx=24, **kw) -> CongestionSpec:
 
 @pytest.fixture(scope="module")
 def sine_report():
-    """One full continuation solve, shared by the slow-path assertions."""
+    """One full default solve, shared by the slow-path assertions."""
     spec = sine_spec(alpha=0.5, mu=1.0)
     return spec, solve_congestion(spec)
 
@@ -86,13 +86,23 @@ def test_exponent_metadata():
 
 
 def test_default_schedule_geometry():
-    spec = sine_spec()  # k0 = 0.9 -> levels start at 0.1
-    sched = spec.eps_schedule
-    assert sched[0] == pytest.approx(0.1)
-    assert sched[-1] == pytest.approx(1e-4)
-    for a, b in zip(sched[:-2], sched[1:-1]):
-        assert b == pytest.approx(0.5 * a)
-    assert all(e <= spec.k0 for e in sched)
+    spec = sine_spec()  # k0 = 0.9
+    assert spec.eps_schedule == (1e-4,)
+    g = Grid(nt=13, nx=24, horizon=1.0)
+    thin = CongestionSpec(grid=g, m0=sine_density(g.nx, amplitude=0.99995))
+    assert thin.k0 == pytest.approx(5e-5)
+    assert thin.eps_schedule == (thin.k0,)
+
+
+@pytest.mark.parametrize("amplitude", [0.99995, 0.9999])
+def test_default_schedule_solves_instances_thinner_than_the_target(amplitude):
+    # k0 = 5e-5, and k0 = 1e-4 less one rounding: the target level is capped at k0
+    g = Grid(nt=13, nx=24, horizon=1.0)
+    spec = CongestionSpec(grid=g, m0=sine_density(g.nx, amplitude=amplitude))
+    assert spec.k0 < 1e-4
+    report = solve_congestion(spec)
+    assert report.converged and len(report.diagnostics["per_eps"]) == 1
+    assert report.diagnostics["fp_residual_sup"] <= spec.tol_fp
 
 
 def test_apply_F_zero_pair_is_exactly_zero():
@@ -408,7 +418,7 @@ def test_solve_factors_once_per_level_and_builds_bands_once(monkeypatch):
     congestion._regularizer_bands.cache_clear()
     report = solve_congestion(sine_spec(alpha=0.5, mu=1.0))
     levels = report.diagnostics["per_eps"]
-    assert len(levels) == 11 and any(level["used_newton"] for level in levels)
+    assert len(levels) == 1 and any(level["used_newton"] for level in levels)
     # both sweeps of a level, its Newton-Krylov solve and its floor clip share
     # one factored system, and its Newton-Krylov preconditioner is factored
     # once beside it; the sixth-difference bands depend on the grid alone
@@ -432,18 +442,50 @@ def test_inner_solves_are_the_halves_of_one_sweep():
     assert np.array_equal(inner_q_solve(spec, eps, pp0), q)
 
 
-def test_solve_builds_the_interpolant_once(monkeypatch):
-    # the interpolant and its energy do not depend on the level's floor
+def test_default_solve_builds_one_level(monkeypatch):
     built = []
-    build = congestion.initial_guess
+    build = congestion._level
 
-    def counted(view):
-        built.append(view.floor)
-        return build(view)
+    def counted(spec, eps):
+        built.append(eps)
+        return build(spec, eps)
 
-    monkeypatch.setattr(congestion, "initial_guess", counted)
+    monkeypatch.setattr(congestion, "_level", counted)
     report = solve_congestion(sine_spec(alpha=0.5, mu=1.0))
-    assert len(report.diagnostics["per_eps"]) == 11 and len(built) == 1
+    assert built == [1e-4]
+    assert [level["eps"] for level in report.diagnostics["per_eps"]] == built
+
+
+def test_explicit_schedule_warm_starts_each_level(monkeypatch, sine_report):
+    # every level starts from the pair the previous level accepted: the start
+    # when the Newton-Krylov candidate's verified residual is not lower
+    spec, report = sine_report
+    verified = []
+    sweep_residual = congestion._sweep_residual
+
+    def recorded(spec, lvl, pp):
+        resid = sweep_residual(spec, lvl, pp)
+        verified.append((lvl.eps, pp, resid))
+        return resid
+
+    monkeypatch.setattr(congestion, "_sweep_residual", recorded)
+    schedule = (0.1, 0.01, 1e-4)
+    explicit = solve_congestion(sine_spec(alpha=0.5, mu=1.0, eps_schedule=schedule))
+    assert explicit.converged
+    assert [level["eps"] for level in explicit.diagnostics["per_eps"]] == list(schedule)
+    starts, accepted = [], []
+    for eps in schedule:
+        calls = [(pp, resid) for e, pp, resid in verified if e == eps]
+        starts.append(calls[0][0])
+        accepted.append(min(calls, key=lambda call: call[1])[0])
+    interp = initial_guess(spec.planning_view(floor=schedule[0]))
+    assert np.array_equal(starts[0].phi, interp.phi) and not starts[0].q.any()
+    for start, previous in zip(starts[1:], accepted[:-1]):
+        assert np.array_equal(start.phi, previous.phi)
+        assert np.array_equal(start.q, previous.q)
+    assert np.array_equal(accepted[-1].phi, explicit.pair.phi)
+    assert np.max(np.abs(explicit.pair.phi - report.pair.phi)) <= 1e-10
+    assert np.max(np.abs(explicit.pair.q - report.pair.q)) <= 1e-10
 
 
 # alpha = 1.5 with mu = 0.5 is outside the solvable range alpha < mu + 1
@@ -451,7 +493,7 @@ def test_solve_builds_the_interpolant_once(monkeypatch):
 @pytest.mark.parametrize("nt,nx", [(7, 8), (49, 96)])
 def test_preconditioner_phi_block_factors_positive_definite(nt, nx, alpha, mu):
     spec = CongestionSpec(grid=Grid(nt=nt, nx=nx, horizon=1.0), alpha=alpha, mu=mu)
-    for eps in (spec.eps_schedule[0], spec.eps_schedule[-1]):
+    for eps in (0.1, spec.eps_schedule[-1]):
         # ModeBanded.factor raises LinAlgError on a mode that is not positive definite
         assert callable(_level(spec, eps).precondition)
 
@@ -605,7 +647,7 @@ def test_sine_instance_apriori_bounds_hold(sine_report):
 
 
 def test_apriori_diagnostics_matches_the_solve_record(sine_report):
-    # the public entry builds the interpolant constants the solve shares
+    # the solve records the public entry's value at each level's accepted pair
     spec, report = sine_report
     final = report.diagnostics["per_eps"][-1]
     public = apriori_diagnostics(spec, final["eps"], report.pair)

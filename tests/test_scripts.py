@@ -25,7 +25,7 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     "name, args",
     [
         ("refinement_study.py", ("--levels", "2")),
-        ("congestion_sweep.py", ("--alphas", "0.5", "--nt", "7", "--nx", "8")),
+        ("congestion_sweep.py", ("--alphas", "0.5", "1.5", "--nt", "7", "--nx", "8")),
         ("refinement_study.py", ("--order", "1", "--levels", "2")),
     ],
 )
@@ -36,6 +36,12 @@ def test_script_runs(name, args):
         rows = [line for line in proc.stdout.splitlines() if line.split()[0][0].isdigit()]
         assert len(rows) == int(args[-1])
         assert all(line.split()[-1] == "converged" for line in rows)
+    if name == "congestion_sweep.py":  # one converged line per alpha, one default level
+        rows = [dict(f.split("=") for f in line.split()) for line in proc.stdout.splitlines()
+                if line.startswith("alpha=")]
+        assert [row["alpha"] for row in rows] == ["0.50", "1.50"]
+        assert all(row["converged"] == "True" for row in rows)
+        assert all(row["iters_per_level"].isdigit() for row in rows)
 
 
 def test_hughes_fronts_writes_profiles(tmp_path):
