@@ -2,9 +2,9 @@
 
 This module bundles the model data every solver consumes: a convex
 Hamiltonian ``H``, its conjugate Lagrangian ``L`` (supplied analytically or
-computed by a Legendre transform: bracket-guarded secant steps on ``H'``), a
-convex coupling ``G`` with density derivative ``g = G'``, a spatial potential
-``V``, and the perspective integrand
+computed by a Legendre transform: Newton steps on ``H''`` or bracketed secant
+steps on ``H'``), a convex coupling ``G`` with density derivative ``g = G'``,
+a spatial potential ``V``, and the perspective integrand
 
     L0(z, y) = y * L(z / y)   for y > 0,
     L0(z, 0) = +inf           for z != 0,
@@ -62,11 +62,14 @@ class Hamiltonian:
     name : str
         Registry tag.  ``"quadratic"`` unlocks the analytic conjugate
         shortcut ``L(w) = w**2 / 2``.
+    second : callable, optional
+        ``H''(p)``, vectorized; given, :func:`_invert_slope` starts with Newton steps.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
+    second: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -133,10 +136,51 @@ def _bracket_slope(ham: Hamiltonian, w: np.ndarray, center=0.0, h=1.0) -> tuple[
 
 
 def _invert_slope(ham: Hamiltonian, w: np.ndarray, start=None) -> np.ndarray:
-    """Solve H'(p) = w elementwise by secant steps guarded by the slope bracket.
+    """Solve H'(p) = w elementwise: Newton steps on ``H''``, else the bracketed secant.
 
-    ``start``, a guess of the roots shaped like ``w`` (the slopes of a nearby point),
-    grows the bracket from ``start +/- 1e-2 (1 + |start|)`` instead of ``+/-1``.
+    ``start`` guesses the roots, shaped like ``w`` (the slopes of a nearby point).
+    Given ``ham.second``, each element takes up to 16 Newton steps ``p -= s`` from
+    ``start`` or 0; it stops once ``|s| <= tol = 1e-15 (1 + |p|)``, or when ``s`` is
+    not finite or has not halved over two steps.  One ``H'`` call at
+    ``p - s - copysign(tol, s)`` confirms a converged ``p - s`` by a sign change
+    across a bracket at most ``2 tol`` wide.  Other elements, and Hamiltonians
+    without ``second``, go to :func:`_secant_slope` from their own start.  Raises
+    ``RuntimeError`` for a slope that is not finite, outside the range of ``H'``,
+    or not converged.
+    """
+    w = np.asarray(w, dtype=float)
+    if not np.all(np.isfinite(w)):
+        bad = float(w[~np.isfinite(w)].flat[0])
+        raise RuntimeError(f"Legendre transform failed: slope w={bad:.6g} is not finite")
+    shape, w = w.shape, w.ravel()
+    start = None if start is None else np.ravel(start)
+    if ham.second is None:
+        return _secant_slope(ham, w, start).reshape(shape)
+    p, prev, older = (np.zeros(w.size) if start is None else start), np.inf, np.inf
+    going = np.ones(w.size, dtype=bool)
+    with np.errstate(all="ignore"):  # a non-finite step stops its element
+        for _ in range(16):  # a stopped element keeps its p, so its f, s and tol stay put
+            f = ham.derivative(p) - w
+            s, tol = f / ham.second(p), 1e-15 * (1.0 + np.abs(p))
+            going &= np.isfinite(s) & (np.abs(s) > tol) & (np.abs(s) <= 0.5 * older)
+            if not going.any():
+                break
+            p = np.where(going, p - s, p)
+            older, prev = prev, np.abs(s)  # step sizes two and one steps back
+        done = ~going & (np.abs(s) <= tol)
+        fc = ham.derivative((p - s - np.copysign(tol, s))[done]) - w[done]
+    done[done] = np.sign(f[done]) * np.sign(fc) <= 0
+    out, rest = p - s, np.flatnonzero(~done)
+    if rest.size:
+        out[rest] = _secant_slope(ham, w[rest], None if start is None else start[rest])
+    return out.reshape(shape)
+
+
+def _secant_slope(ham: Hamiltonian, w: np.ndarray, start=None) -> np.ndarray:
+    """Solve H'(p) = w (flat, finite) by secant steps guarded by the slope bracket.
+
+    ``start`` (see :func:`_invert_slope`) grows the bracket from
+    ``start +/- 1e-2 (1 + |start|)`` instead of ``+/-1``.
     Secant steps through each element's best point (the bracket end with the
     smaller ``|H'(p) - w|``) and its last other point start at the
     regula-falsi point of the :func:`_bracket_slope` bracket; a step out of
@@ -144,21 +188,14 @@ def _invert_slope(ham: Hamiltonian, w: np.ndarray, start=None) -> np.ndarray:
     estimate within ``tol = 1e-15 (1 + |p|)`` of the best point is confirmed
     by a point ``tol`` beyond it: an element stops once its bracket is
     ``2 tol`` wide or it hits a root.  Raises ``RuntimeError`` for a slope
-    that is not finite, outside the range of ``H'``, or not converged in 360
-    steps.
+    outside the range of ``H'`` or not converged in 360 steps.
     """
-    w = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(w)):
-        bad = float(w[~np.isfinite(w)].flat[0])
-        raise RuntimeError(f"Legendre transform failed: slope w={bad:.6g} is not finite")
     center, h = (0.0, 1.0) if start is None else (start, 1e-2 * (1.0 + np.abs(start)))
     lo, flo, hi, fhi = _bracket_slope(ham, w, center, h)
-    shape, out, todo = w.shape, np.empty(w.size), np.arange(w.size)
-    w, lo, hi = w.ravel(), lo.ravel(), hi.ravel()
-    a, fa, b, fb = lo, np.ravel(flo) - w, hi, np.ravel(fhi) - w
+    a, fa, b, fb = lo, flo - w, hi, fhi - w
     p = est = a - fa * (b - a) / (fb - fa)
     prev = older = np.full(w.size, np.inf)  # bracket widths one and two steps back
-    finished = np.zeros(w.size, dtype=bool)
+    out, todo, finished = np.empty(w.size), np.arange(w.size), np.zeros(w.size, dtype=bool)
     for _ in range(360):
         f = ham.derivative(p) - w
         hi, lo = np.where(f >= 0, p, hi), np.where(f <= 0, p, lo)
@@ -172,7 +209,7 @@ def _invert_slope(ham: Hamiltonian, w: np.ndarray, start=None) -> np.ndarray:
             out[todo[new]] = np.where(fb[new] == 0, b[new], est[new])
             finished |= done
             if finished.all():
-                return out.reshape(shape)
+                return out
             left = np.flatnonzero(~finished)
             if 2 * left.size <= w.size:  # shrink the working set
                 todo, w, lo, hi, a, fa, b, fb, width, tol, prev, older, finished = (
@@ -254,6 +291,7 @@ def quadratic_hamiltonian() -> Hamiltonian:
         eval=lambda p: 0.5 * np.square(np.asarray(p, dtype=float)),
         derivative=lambda p: np.asarray(p, dtype=float).copy(),
         name="quadratic",
+        second=lambda p: np.ones_like(np.asarray(p, dtype=float)),
     )
 
 
@@ -269,7 +307,11 @@ def power_hamiltonian(alpha: float) -> Hamiltonian:
         p = np.asarray(p, dtype=float)
         return alpha * p * (1.0 + np.square(p)) ** (0.5 * alpha - 1.0)
 
-    return Hamiltonian(eval=H, derivative=Hp, name=f"power-{alpha:g}")
+    def Hpp(p):
+        p2 = np.square(np.asarray(p, dtype=float))
+        return alpha * (1.0 + p2) ** (0.5 * alpha - 2.0) * (1.0 + (alpha - 1.0) * p2)
+
+    return Hamiltonian(eval=H, derivative=Hp, name=f"power-{alpha:g}", second=Hpp)
 
 
 def quadratic_coupling() -> Coupling:
@@ -329,8 +371,6 @@ def build_model(
     )
 
 
-
-
 # --- assumption checks -------------------------------------------------------
 
 _SAMPLES = 400
@@ -387,12 +427,14 @@ def _jointly_convex_perspective(model: MFGModel, rng: np.random.Generator) -> tu
     return ("pass" if slack >= -1e-10 else "fail"), f"worst convexity slack {slack:.3e}"
 
 
-def _consistent_coupling_slope(coupling: Coupling, rng: np.random.Generator) -> tuple[str, str]:
-    z, h = rng.uniform(0.05, 5.0, _SAMPLES), 1e-6
-    fd = (coupling.G(z + h) - coupling.G(z - h)) / (2 * h)
-    g = coupling.g(z)
-    rel = np.max(np.abs(fd - g) / (1.0 + np.abs(g)))
-    return ("pass" if rel < 1e-6 else "fail"), f"max relative G'-vs-g mismatch {rel:.3e}"
+def _consistent_slope(f, df, rng: np.random.Generator, lo: float, vs) -> tuple[str, str]:
+    """Central differences of ``f`` against its claimed derivative ``df`` (named ``vs``)."""
+    if df is None:
+        return "skip", f"no {vs[1]} supplied"
+    x, h = rng.uniform(lo, 5.0, _SAMPLES), 1e-6
+    fd, d = (f(x + h) - f(x - h)) / (2 * h), df(x)
+    rel = np.max(np.abs(fd - d) / (1.0 + np.abs(d)))
+    return ("pass" if rel < 1e-6 else "fail"), f"max relative {'-vs-'.join(vs)} mismatch {rel:.3e}"
 
 
 def _density_lower_bound(m0: np.ndarray, mT: np.ndarray, x: np.ndarray) -> tuple[str, str]:
@@ -410,9 +452,9 @@ def check_assumptions(model: MFGModel | None, m0: np.ndarray, mT: np.ndarray, x:
     Returns ``{name: (status, detail)}``, status ``"pass"``, ``"fail"`` or
     ``"skip"``.  Model checks (skipped for ``model=None``): ``H`` and ``G``
     strictly convex, ``L`` and ``G`` superlinear, ``L'`` inverting ``H'``,
-    ``g = G'``, ``L >= 0`` (when ``H(0) <= 0``), the perspective jointly
-    convex; one whose Legendre transform fails reports ``fail`` with the
-    message.  Last, ``m0`` and ``mT`` (at nodes ``x``) must exceed some ``k0 > 0``.
+    ``g = G'``, ``H'' = (H')'`` (when given), ``L >= 0`` (when ``H(0) <= 0``), the
+    perspective jointly convex; one whose Legendre transform fails reports ``fail``
+    with the message.  Last, ``m0`` and ``mT`` (at nodes ``x``) must exceed some ``k0 > 0``.
     """
     model_checks = {
         "hamiltonian_strictly_convex": lambda: _strictly_convex(model.hamiltonian.eval, rng, "p"),
@@ -421,8 +463,11 @@ def check_assumptions(model: MFGModel | None, m0: np.ndarray, mT: np.ndarray, x:
         "lagrangian_nonnegative": lambda: _nonnegative_lagrangian(model, rng),
         "perspective_jointly_convex": lambda: _jointly_convex_perspective(model, rng),
         "strict_convexity_of_coupling": lambda: _strictly_convex(model.coupling.G, rng, "z", 0.0),
-        "coupling_slope_consistent": lambda: _consistent_coupling_slope(model.coupling, rng),
+        "coupling_slope_consistent": lambda: _consistent_slope(
+            model.coupling.G, model.coupling.g, rng, 0.05, ("G'", "g")),
         "coupling_growth": lambda: _superlinear(model.coupling.G, "z", (1.0,)),
+        "hamiltonian_second_consistent": lambda: _consistent_slope(
+            model.hamiltonian.derivative, model.hamiltonian.second, rng, -5.0, ("(H')'", "H''")),
     }
     checks = {}
     for name, check in model_checks.items():

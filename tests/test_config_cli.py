@@ -239,6 +239,7 @@ def test_repo_example_configs_parse():
     for name, expected in (
         ("planning_uniform.yaml", PlanningSpec),
         ("planning_sine.yaml", PlanningSpec),
+        ("planning_power.yaml", PlanningSpec),
         ("congestion_sine.yaml", CongestionSpec),
         ("hughes_constant.yaml", HughesSpec),
     ):
@@ -535,7 +536,8 @@ def test_validation_on_congestion_config_checks_densities(tmp_path):
 ASSUMPTIONS = {
     "hamiltonian_strictly_convex", "lagrangian_inverts_slope", "lagrangian_growth",
     "lagrangian_nonnegative", "perspective_jointly_convex", "strict_convexity_of_coupling",
-    "coupling_slope_consistent", "coupling_growth", "density_lower_bound",
+    "coupling_slope_consistent", "coupling_growth", "hamiltonian_second_consistent",
+    "density_lower_bound",
 }
 CONFIGS = sorted(
     p.name for p in (Path(__file__).resolve().parents[1] / "configs").glob("*.yaml")

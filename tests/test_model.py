@@ -1,5 +1,7 @@
 """Model-layer checks: Legendre transform, perspective integrand, built-ins."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,12 +104,72 @@ def test_invert_slope_mixed_magnitudes(alpha):
     assert np.array_equal(p, alone)
 
 
+@pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 3.0, 6.0])
+@pytest.mark.parametrize("label", ["near", "far", "wrong side"])
+def test_warm_started_newton_inversion_mixed_magnitudes(alpha, label):
+    # Newton steps from a start, near the roots or not: each element meets the
+    # bisection oracle's tolerance and equals the same element inverted alone,
+    # whether Newton confirmed it or the bracketed secant took it over
+    ham = power_hamiltonian(alpha)
+    mags = np.array([0.0, 1e-12, 1e-3, 0.4, 7.3, 1e2, 1e4])
+    w = np.concatenate([mags, -mags[1:]])
+    w = w[np.abs(w) < ham.derivative(np.asarray(2.0**63))]
+    root = _bisection_oracle(ham, w)
+    start = {"near": root * (1.0 + 1e-3) + 1e-9, "far": root + 1e6,
+             "wrong side": -2.0 * root - np.sign(root) - 0.5}[label]
+    p = model._invert_slope(ham, w, start)
+    assert np.all(np.abs(ham.derivative(p) - w) <= 1e-14 * (1.0 + np.abs(w)))
+    assert np.all(np.abs(p - root) <= 1e-14 * (1.0 + np.abs(p)))
+    alone = np.array([model._invert_slope(ham, np.asarray(x), np.asarray(s))
+                      for x, s in zip(w, start)])
+    assert np.array_equal(p, alone)
+
+
+@pytest.mark.parametrize("second, newton_calls", [
+    (lambda ham: lambda p: np.full(np.shape(p), np.nan), 2),
+    (lambda ham: lambda p: 2.0 * ham.second(p), 17),
+    (lambda ham: lambda p: 0.5 * ham.second(p), 5),
+    (lambda ham: lambda p: 1e20 * ham.second(p), 2),
+    (lambda ham: lambda p: -ham.second(p), 4),
+], ids=["nan", "double", "half", "huge", "negative"])
+def test_wrong_second_derivative_falls_back_to_the_secant(monkeypatch, second, newton_calls):
+    # Newton steps on a wrong H'' stop (a NaN step, or one that has not halved
+    # over two steps) or fail their sign change; the secant takes those
+    # elements over, so every root still meets the tolerance.  Before it does,
+    # the Newton phase spends at most 16 steps and one confirming H' call.
+    ham = power_hamiltonian(1.5)
+    calls, fallbacks = [], []
+
+    def derivative(p):
+        calls.append(1)
+        return ham.derivative(p)
+
+    wrong = dataclasses.replace(ham, derivative=derivative, second=second(ham))
+    secant = model._secant_slope
+
+    def recorded(ham, w, start=None):
+        fallbacks.append((np.size(w), len(calls)))
+        return secant(ham, w, start)
+
+    monkeypatch.setattr(model, "_secant_slope", recorded)
+    rng = np.random.default_rng(11)
+    w = rng.choice([-1.0, 1.0], 200) * 10 ** rng.uniform(-12, 4, 200)
+    root = _bisection_oracle(ham, w)
+    for start in (None, root + 0.5):
+        calls.clear()
+        fallbacks.clear()
+        p = model._invert_slope(wrong, w, start)
+        assert np.all(np.abs(p - root) <= 1e-14 * (1.0 + np.abs(p)))
+        assert len(fallbacks) == 1 and fallbacks[0][0] >= 100 and fallbacks[0][1] <= newton_calls
+
+
 @pytest.mark.parametrize("alpha", [1.5, 3.0])
 def test_warm_started_inversion_agrees_with_cold(alpha):
-    # A start only moves the bracket: near, far (1e6 away) or on the wrong side
-    # of the root, every element lands within the inversion's tolerance.  Each
-    # call stops inside a final bracket 2e-15 (1 + |p|) wide, so two calls agree
-    # to twice that (random slopes of either sign reach 17 ulps apart).
+    # Near, far (1e6 away) or on the wrong side of the root, a start leaves
+    # every element within the inversion's tolerance.  Newton steps stop at a
+    # bracket 2e-15 (1 + |p|) wide that a sign change confirms, as the secant
+    # steps do, so two calls agree to twice that (random slopes of either sign
+    # reach 17 ulps apart).
     ham = power_hamiltonian(alpha)
     mags = np.array([0.0, 1e-12, 1e-3, 0.4, 7.3, 1e2, 1e4])
     rng = np.random.default_rng(int(10 * alpha))
@@ -337,7 +399,7 @@ NODES = np.arange(16) / 16.0
 def test_check_assumptions_all_green(mfg):
     # a power coupling is sampled at densities z >= 0 only, where it is defined
     checks = check_assumptions(mfg, UNIFORM, UNIFORM, NODES, np.random.default_rng(3))
-    assert len(checks) == 9
+    assert len(checks) == 10
     # H(0) = 1 for the power Hamiltonian, so L >= 0 does not hold there
     skipped = {"lagrangian_nonnegative"} if mfg.hamiltonian.eval(0.0) > 0 else set()
     for name, (status, detail) in checks.items():
@@ -359,6 +421,16 @@ def test_check_assumptions_reports_bad_coupling():
     checks = check_assumptions(model, UNIFORM, UNIFORM, NODES, np.random.default_rng(5))
     status, _ = checks["coupling_slope_consistent"]
     assert status == "fail"
+
+
+def test_check_assumptions_reports_a_wrong_second_derivative():
+    ham = power_hamiltonian(1.5)
+    for second, status in ((ham.second, "pass"), (lambda p: 2.0 * ham.second(p), "fail"),
+                           (None, "skip")):
+        mfg = build_model(dataclasses.replace(ham, second=second))
+        checks = check_assumptions(mfg, UNIFORM, UNIFORM, NODES, np.random.default_rng(5))
+        assert checks["hamiltonian_second_consistent"][0] == status, checks
+        assert checks["lagrangian_inverts_slope"][0] == "pass"
 
 
 def test_power_coupling_slopes():

@@ -451,7 +451,8 @@ def _counting_power_model(evaluations: list):
         evaluations.append(np.size(p))
         return ham.derivative(p)
 
-    spy = model_module.Hamiltonian(eval=ham.eval, derivative=derivative, name=ham.name)
+    spy = model_module.Hamiltonian(eval=ham.eval, derivative=derivative, name=ham.name,
+                                   second=ham.second)
     return build_model(spy, power_coupling(2.5), cosine_potential(0.2))
 
 
@@ -478,6 +479,29 @@ def test_warm_start_saves_slope_evaluations(monkeypatch):
     assert n_warm == n_cold  # as many inversions, each cheaper on average
     assert len(warm) < len(cold) and sum(warm) < sum(cold)
     assert np.max(np.abs(r_warm.pair.phi - r_cold.pair.phi)) <= 1e-10
+
+
+def test_newton_inversion_takes_few_slope_evaluations(monkeypatch):
+    # Newton steps on H'' from the accepted point's slopes, plus one confirming
+    # H' call: about 4 calls per inversion where the bracketed secant took 8
+    evaluations, inversions, fallbacks = [], [], []
+    invert, secant = model_module._invert_slope, model_module._secant_slope
+
+    def counted(ham, w, start=None):
+        inversions.append(1)
+        return invert(ham, w, start)
+
+    def recorded(ham, w, start=None):
+        fallbacks.append(np.size(w))
+        return secant(ham, w, start)
+
+    monkeypatch.setattr(model_module, "_invert_slope", counted)
+    monkeypatch.setattr(model_module, "_secant_slope", recorded)
+    spec = dataclasses.replace(_power_instance(33, 32), model=_counting_power_model(evaluations))
+    report = minimize(spec)
+    assert report.converged
+    assert len(evaluations) <= 5 * len(inversions)
+    assert not fallbacks  # every node of every inversion was confirmed after Newton steps
 
 
 @pytest.mark.parametrize("order", [0, 1])

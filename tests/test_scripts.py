@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts at tiny sizes: each must exit 0."""
 
+import math
 import os
 import subprocess
 import sys
@@ -51,3 +52,8 @@ def test_hughes_fronts_writes_profiles(tmp_path):
         "rho_congestion.csv",
         "rho_linear.csv",
     ]
+    # eight times per speed law, each with a finite eikonal residual
+    sups = [line.split("eikonal sup=")[1] for line in proc.stdout.splitlines()
+            if "eikonal sup=" in line]
+    assert len(sups) == 16
+    assert all(math.isfinite(float(s)) for s in sups)
