@@ -20,8 +20,10 @@ directory:
 
 Everything numeric is written at 17 significant digits so that re-running
 an identical config byte-reproduces the CSV files; timings live only in
-report.json.  Exit codes: 0 converged/passed, 2 flagged non-convergence or
-failed assumptions, 1 hard error.
+report.json.  Each CSV cell is exactly ``format(v, ".17g")``, computed for
+whole arrays by ``_format_rows`` with ``format`` itself as the exact fallback.
+Exit codes: 0 converged/passed, 2 flagged non-convergence or failed
+assumptions, 1 hard error.
 """
 
 from __future__ import annotations
@@ -418,40 +420,121 @@ def parse_config(path) -> RunConfig:
 # CSV writers/readers (17 significant digits; byte-reproducible)
 
 
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
+_BLOCK = 4096  # values per formatter block: its scratch arrays stay in cache, about 2 MB
+_FAST = (1e-280, 1e280)  # magnitudes the fast path takes: no split overflows or underflows
+_K_MIN, _K_MAX = -283, 283  # decimal exponents the fast path reaches, retries included
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+
+
+def _pow10(s: int) -> tuple[float, float]:
+    """``10^s = hi + lo``, both correctly rounded from exact integers."""
+    num, den = 10 ** max(s, 0), 10 ** max(-s, 0)
+    n, d = (num / den).as_integer_ratio()  # int / int rounds correctly
+    return n / d, (num * d - n * den) / (den * d)
+
+
+def _keep_table() -> np.ndarray:
+    """Row ``18 (k + 100) + nd``: the bytes ``format(v, ".17g")`` shows, less the sign, of a
+    48-byte cell (six words: ``-0.000``, 17 digits each followed by a ``.`` slot, ``e±XXX``,
+    the separator, two unused bytes) at exponent ``k`` (as for +-100 beyond it), ``nd`` digits."""
+    k, nd, pos = np.ogrid[-100:101, :18, :48]
+    fixed, small = (k >= -4) & (k < 17), (k >= -4) & (k < 0)
+    dot = np.where(fixed, np.where(small, 18, k + 1), 1)  # digits before the dot
+    shown = np.maximum(nd, np.where(fixed & ~small, k + 1, 0))  # "100", not "1"
+    digit, body = (pos - 6) // 2, (pos >= 6) & (pos < 40)
+    return ((pos >= 1) & (pos < 6) & small & (pos - 3 < -k - 1)  # "0." and up to three zeros
+            | body & (pos % 2 == 0) & (digit < shown)
+            | body & (pos % 2 == 1) & (digit + 1 == dot) & (shown > dot)
+            | (pos >= 40) & (pos < 45) & ~fixed & ((pos != 42) | (np.abs(k) >= 100))
+            | (pos == 45)).reshape(-1, 48)
+
+
+_HI, _LO = np.array([_pow10(16 - k) for k in range(_K_MIN, _K_MAX + 1)]).T
+_HH = _SPLIT * _HI - (_SPLIT * _HI - _HI)  # Veltkamp's split: _HI = _HH + (_HI - _HH)
+_POW10, _KEEP = np.column_stack([_HI, _HH, _HI - _HH, _LO]), _keep_table()
+_LEAD = np.frombuffer("".join(f"-0.000{i}." for i in range(10)).encode(), "<u8")
+_EXP = np.frombuffer("".join(f"e{k:+04d}\0\0\0" for k in range(_K_MIN, _K_MAX + 1)).encode(), "<u8")
+_QUAD_DIGITS = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.int8)
+_QUADS = np.insert(48 + _QUAD_DIGITS, range(1, 5), ord("."), axis=1).astype(np.uint8).view("<u8")
+_ZEROS = np.cumprod(_QUAD_DIGITS[:, ::-1] == 0, axis=1).sum(axis=1, dtype=np.int8)  # 4 for 0
+
+
+def _format_block(x: np.ndarray, cols: int) -> bytes:
+    fast = (np.abs(x) >= _FAST[0]) & (np.abs(x) <= _FAST[1])
+    a = np.where(fast, np.abs(x), 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    ah = _SPLIT * a - (_SPLIT * a - a)
+    al = a - ah
+    for _ in range(2):  # once more where log10 missed the decade
+        hi, hh, hl, lo = _POW10.take(k - _K_MIN, axis=0).T
+        p = a * hi
+        rest = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo  # Dekker
+        frac = rest - np.floor(rest)
+        d = p.astype(np.int64) + np.floor(rest).astype(np.int64) + (frac > 0.5)
+        step = (d > 10**17).astype(np.intp) - (d < 10**16)
+        if not step.any():
+            break
+        k += step
+    fast &= (d > 10**16) & (d <= 10**17) & (np.abs(frac - 0.5) > 1e-6)
+    k = np.where(fast, k + (d == 10**17), 0)  # D = 1e17 carries; 0 keeps the rest in the tables
+    d = np.where(fast & (d < 10**17), d, 10**16)
+
+    hi, lo = d // 10**8 % 10**8, d % 10**8
+    quads = hi // 10**4, hi % 10**4, lo // 10**4, lo % 10**4
+    sep = np.where(np.arange(x.size) % cols < cols - 1, np.uint64(44 << 40), np.uint64(10 << 40))
+    cells = np.column_stack([_LEAD.take(d // 10**16), *(_QUADS.take(q) for q in quads),
+                             _EXP.take(k - _K_MIN) | sep]).view(np.uint8)  # "," or "\n" last
+    zeros = np.where(lo, np.where(quads[3], _ZEROS.take(quads[3]), 4 + _ZEROS.take(quads[2])),
+                     8 + np.where(quads[1], _ZEROS.take(quads[1]), 4 + _ZEROS.take(quads[0])))
+    keep = _KEEP.take(18 * (np.clip(k, -100, 100) + 100) + 17 - zeros, axis=0)
+    keep[:, 0] = x < 0
+    text = np.array([format(v, ".17g").encode() for v in x[~fast].tolist()], "S45")
+    cells[~fast, :45] = text = text.view(np.uint8).reshape(-1, 45)
+    keep[~fast, :45] = text != 0
+    return np.compress(keep.ravel(), cells.ravel()).tobytes()
+
+
+def _format_rows(values: np.ndarray) -> bytes:
+    """The bytes ``format(v, ".17g")`` gives per value, ``,`` between and ``\\n`` after rows.
+
+    A fast path that certifies itself (Loitsch 2010): for ``a = |x|`` in ``_FAST`` with
+    exponent ``k``, ``r = a 10^(16 - k) = p + e + a lo + a t``, where ``10^(16 - k) = hi + lo
+    + t``, ``|t| <= 2^-106 10^(16 - k)``, and ``a hi = p + e`` exactly (Dekker).  ``rest =
+    fl(e + fl(a lo))`` errs by ``2^-53 |a lo| + 2^-49 + a |t| < 5e-15`` (``|e| <= 8``, ``|a
+    lo| < 12`` for ``r < 1e17 + 1``) and ``p >= 2^53`` is an integer, so ``D = p + floor(rest)
+    + (frac > 1/2)`` is ``round(r)`` if ``|frac - 1/2| > 1e-6``.  ``D`` is kept if also ``1e16
+    < D <= 1e17`` (``1e16`` may hide ``r < 1e16``; ``1e17`` is ``1e16`` at ``k + 1`` either
+    way).  Every other value (zeros, non-finite, out of range, near or exact ties) goes to
+    ``format``.
+    """
+    if values.size < 180:  # below this, formatting value by value beats a block's fixed cost
+        return "".join(",".join(map("{:.17g}".format, r)) + "\n" for r in values.tolist()).encode()
+    rows, cols = values.shape
+    per = max(1, _BLOCK // cols)
+    return b"".join(_format_block(values[i : i + per].ravel(), cols) for i in range(0, rows, per))
 
 
 def write_field_csv(path, ts, xs, field) -> None:
-    field = np.asarray(field, dtype=float)
-    line = ",".join(["%.17g"] * (field.shape[1] + 1)) + "\n"
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(_fmt(x) for x in xs) + "\n")
-        for t, row in zip(np.asarray(ts, dtype=float).tolist(), field):
-            fh.write(line % (t, *row.tolist()))
+    ts, xs, field = (np.asarray(v, dtype=float) for v in (ts, xs, field))
+    if field.ndim != 2 or ts.shape != field.shape[:1] or xs.shape != field.shape[1:]:
+        raise ValueError(f"field of shape {field.shape} needs ts of shape (rows,) and xs of "
+                         f"shape (columns,), got ts {ts.shape} and xs {xs.shape}")
+    table = np.block([[np.zeros((1, 1)), xs[None]], [ts[:, None], field]])  # "0" becomes "t"
+    Path(path).write_bytes(b"t" + _format_rows(table)[1:])
 
 
 def write_series_csv(path, ts, series) -> None:
-    _write_diagnostics(path, "t,q", zip(ts, series))
+    _write_diagnostics(path, "t,q", ts, series)
 
 
 def read_field_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        xs = np.array([float(v) for v in header[1:]])
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    ts = np.array([float(r[0]) for r in rows])
-    field = np.array([[float(v) for v in r[1:]] for r in rows])
-    return ts, xs, field
+    xs = np.loadtxt(path, delimiter=",", max_rows=1, dtype=str)[1:].astype(float)
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return table[:, 0], xs, table[:, 1:]
 
 
 def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path) as fh:
-        fh.readline()
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    ts = np.array([float(r[0]) for r in rows])
-    series = np.array([float(r[1]) for r in rows])
-    return ts, series
+    return tuple(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, unpack=True))
 
 
 def _write_report(path, summary: dict) -> None:
@@ -460,11 +543,8 @@ def _write_report(path, summary: dict) -> None:
         fh.write("\n")
 
 
-def _write_diagnostics(path, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _write_diagnostics(path, header: str, *columns) -> None:
+    Path(path).write_bytes(header.encode() + b"\n" + _format_rows(np.column_stack(columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +584,8 @@ def _write_solution(out: Path, g: Grid, report, sol, trace_header: str) -> None:
     write_series_csv(out / "solution_q.csv", g.t, report.pair.q)
     write_field_csv(out / "solution_u.csv", g.t, g.x, sol.u)
     write_field_csv(out / "solution_m.csv", g.t, g.x, sol.m)
-    _write_diagnostics(out / "diagnostics.csv", trace_header, enumerate(report.objective_trace))
+    trace = report.objective_trace
+    _write_diagnostics(out / "diagnostics.csv", trace_header, np.arange(len(trace)), trace)
 
 
 def _run_planning(config: RunConfig, out: Path, quiet: bool) -> int:
@@ -570,12 +651,10 @@ def _run_hughes(config: RunConfig, out: Path, quiet: bool) -> int:
     wall = time.perf_counter() - started
 
     ts = np.asarray(sol.times)
-    write_field_csv(out / "solution_phi.csv", ts, sol.xs, sol.phi)
-    write_field_csv(out / "solution_m.csv", ts, sol.xs, sol.rho)
-    write_field_csv(out / "solution_ystar.csv", ts, sol.xs, sol.ystar)
+    for name, field in (("phi", sol.phi), ("m", sol.rho), ("ystar", sol.ystar)):
+        write_field_csv(out / f"solution_{name}.csv", ts, sol.xs, field)
     per_time = np.max(np.abs(sol.eikonal_residual), axis=1)
-    _write_diagnostics(out / "diagnostics.csv", "time,eikonal_sup",
-                       list(zip(ts, per_time)))
+    _write_diagnostics(out / "diagnostics.csv", "time,eikonal_sup", ts, per_time)
     summary = {
         "mode": "hughes",
         "seed": config.seed,

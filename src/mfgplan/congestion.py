@@ -306,10 +306,10 @@ class _Level:
     precondition: Callable[[np.ndarray], np.ndarray]
 
 
-def _level(spec: CongestionSpec, eps: float) -> _Level:
+def _level(spec: CongestionSpec, eps: float, interp: Field | None = None) -> _Level:
     g = spec.grid
     view = spec.planning_view(floor=eps)
-    interp = initial_guess(view).phi
+    interp = initial_guess(view).phi if interp is None else interp
     lift = g.zeros()
     lift[0], lift[-1] = interp[0], interp[-1]
     wt = time_weights(g)
@@ -402,7 +402,19 @@ def young_sup(a: float, p: float, mu: float) -> float:
     return a * ystar**p * (mu + 1.0 - p) / (mu + 1.0)
 
 
-def apriori_diagnostics(spec: CongestionSpec, eps: float, pp: PotentialPair) -> dict:
+def _apriori_constants(spec: CongestionSpec, pp0: PotentialPair) -> tuple[float, float, float]:
+    """The Young suprema ``c1``, ``c2`` and the energy ``r0`` of the interpolant ``pp0``."""
+    g = spec.grid
+    z0, y0 = potential_fields(g, pp0, 0)
+    c1 = young_sup(float(np.max(y0)), spec.mu, spec.mu)
+    c2 = young_sup(float(np.max(np.abs(z0))) ** 2 / spec.k0, spec.alpha, spec.mu)
+    w = st_weights(g)
+    r0 = float(np.sum(w * pp0.phi * pp0.phi)) + g.dt * g.dx * regularizer_quadratic(g, pp0.phi)
+    return c1, c2, r0
+
+
+def apriori_diagnostics(spec: CongestionSpec, eps: float, pp: PotentialPair,
+                        constants: tuple | None = None) -> dict:
     """Evaluate the three energy integrals bounded at regularized solutions.
 
     Reported integrals: the congestion energy of the density, the
@@ -414,14 +426,12 @@ def apriori_diagnostics(spec: CongestionSpec, eps: float, pp: PotentialPair) -> 
     boundary terms exactly), and absorb the cross terms by two Young
     inequalities with closed-form suprema.  Only the first two integrals
     are covered by that constant; the third is reported without a bound.
+    ``constants``: :func:`_apriori_constants`, of the interpolant if not given.
     """
     g = spec.grid
     w = st_weights(g)
-    pp0 = initial_guess(spec.planning_view(floor=spec.k0 * 0.5))
-    z0, y0 = potential_fields(g, pp0, 0)
-    c1 = young_sup(float(np.max(y0)), spec.mu, spec.mu)
-    c2 = young_sup(float(np.max(np.abs(z0))) ** 2 / spec.k0, spec.alpha, spec.mu)
-    r0 = float(np.sum(w * pp0.phi * pp0.phi)) + g.dt * g.dx * regularizer_quadratic(g, pp0.phi)
+    c1, c2, r0 = constants or _apriori_constants(
+        spec, initial_guess(spec.planning_view(floor=spec.k0 * 0.5)))
     bound = 2.0 * (0.5 * eps * r0 + g.horizon * (c1 + c2))
 
     y = potential_fields(g, pp, 0)[1]
@@ -586,12 +596,13 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
     """
     t_start = time.perf_counter()
     pp = initial_guess(spec.planning_view(floor=spec.eps_schedule[0]))
+    interp, constants = pp.phi, _apriori_constants(spec, pp)
 
     trace: list[float] = []
     per_eps: list[dict] = []
 
     for eps in spec.eps_schedule:
-        lvl = _level(spec, eps)
+        lvl = _level(spec, eps, interp)
         pp = PotentialPair(clip_to_floor(lvl.view, pp.phi), pp.q)
         resid = _sweep_residual(spec, lvl, pp)
         residuals = [resid]
@@ -603,7 +614,7 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
             if residuals[-1] < resid:
                 pp, resid = cand, residuals[-1]
         trace.extend(residuals)
-        level_diag = apriori_diagnostics(spec, eps, pp)
+        level_diag = apriori_diagnostics(spec, eps, pp, constants)
         level_diag.update(
             **counts,
             eps=eps,

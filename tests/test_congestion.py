@@ -446,9 +446,9 @@ def test_default_solve_builds_one_level(monkeypatch):
     built = []
     build = congestion._level
 
-    def counted(spec, eps):
+    def counted(spec, eps, *interp):
         built.append(eps)
-        return build(spec, eps)
+        return build(spec, eps, *interp)
 
     monkeypatch.setattr(congestion, "_level", counted)
     report = solve_congestion(sine_spec(alpha=0.5, mu=1.0))
