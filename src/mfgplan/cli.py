@@ -186,10 +186,8 @@ class ValidationTarget:
     mT: np.ndarray
 
 
-_PLANNING_KEYS = {
-    "hamiltonian", "coupling", "potential", "m0", "mT",
-    "order", "tol", "floor", "max_iters",
-}
+_MODEL_KEYS = {"hamiltonian", "coupling", "potential", "m0", "mT"}
+_PLANNING_KEYS = _MODEL_KEYS | {"order", "tol", "floor", "max_iters"}
 
 
 def _typed_entry(entry, path: str, kind: str, keys: set[str], expected: str) -> dict:
@@ -201,10 +199,10 @@ def _typed_entry(entry, path: str, kind: str, keys: set[str], expected: str) -> 
     return block
 
 
-def _target_from(block: dict, grid: Grid, path: str) -> ValidationTarget:
-    """Parse the keys planning and validate blocks share; reject unknown ones."""
+def _target_from(block: dict, grid: Grid, path: str, keys=_MODEL_KEYS) -> ValidationTarget:
+    """Parse the keys planning and validate blocks share; reject any not in ``keys``."""
     block = _as_block(block, path)
-    _reject_unknown(block, _PLANNING_KEYS, path)
+    _reject_unknown(block, keys, path)
 
     ham_entry = block.get("hamiltonian", "quadratic")
     if ham_entry == "quadratic":
@@ -250,7 +248,7 @@ def _target_from(block: dict, grid: Grid, path: str) -> ValidationTarget:
 
 
 def _planning_from(block: dict, grid: Grid, path: str) -> PlanningSpec:
-    target = _target_from(block, grid, path)
+    target = _target_from(block, grid, path, _PLANNING_KEYS)
     order = _integer(block.get("order", 0), f"{path}.order")
     if order not in (0, 1):
         raise ConfigError(f"range violation at {path}.order: must be 0 or 1, got {order}")
@@ -269,9 +267,7 @@ def _planning_from(block: dict, grid: Grid, path: str) -> PlanningSpec:
         raise ConfigError(f"range violation in {path}: {exc}") from exc
 
 
-_CONGESTION_KEYS = {
-    "alpha", "mu", "m0", "mT", "tol_fp", "eps_schedule",
-}
+_CONGESTION_KEYS = {"alpha", "mu", "m0", "mT", "tol_fp"}
 
 
 def _congestion_from(block: dict, grid: Grid, path: str) -> CongestionSpec:
@@ -281,14 +277,6 @@ def _congestion_from(block: dict, grid: Grid, path: str) -> CongestionSpec:
     mu = _number(block.get("mu", 1.0), f"{path}.mu", lo=0.0, lo_open=True)
     m0 = _density_from(_require(block, "m0", path), grid, f"{path}.m0")
     mT = _density_from(_require(block, "mT", path), grid, f"{path}.mT")
-    schedule = block.get("eps_schedule")
-    if schedule is not None:
-        if not isinstance(schedule, list) or not schedule:
-            raise ConfigError(f"schema violation at {path}.eps_schedule: expected a list")
-        schedule = tuple(
-            _number(v, f"{path}.eps_schedule[{i}]", lo=0.0, lo_open=True)
-            for i, v in enumerate(schedule)
-        )
     try:
         return CongestionSpec(
             grid=grid,
@@ -296,7 +284,6 @@ def _congestion_from(block: dict, grid: Grid, path: str) -> CongestionSpec:
             mu=mu,
             m0=m0,
             mT=mT,
-            eps_schedule=schedule,
             tol_fp=_number(block.get("tol_fp", 1e-6), f"{path}.tol_fp", lo=0.0, lo_open=True),
         )
     except ValueError as exc:
@@ -404,6 +391,9 @@ def parse_config(path) -> RunConfig:
 
     block = doc[mode]
     if mode == "hughes":
+        if "grid" in doc:
+            raise ConfigError("schema violation at grid: hughes runs take their window "
+                              "from the hughes block (x_min, x_max, nx, times)")
         spec = _hughes_from(block, "hughes")
     else:
         grid = _grid_from(doc.get("grid", {}), "grid")
@@ -711,7 +701,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             config.output_dir = Path(args.out)
         if args.seed is not None:
-            config.seed = args.seed
+            config.seed = _integer(args.seed, "--seed", lo=0)
         if args.command == "validate":
             return run_validation(config, quiet=args.quiet)
         return run(config, quiet=args.quiet)

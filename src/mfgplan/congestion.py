@@ -13,12 +13,11 @@ The solver regularizes: at level ``eps`` the pair must satisfy
     eps * (q - q'')              + F2(pair) = 0      (Neumann ends)
 
 whose self-map ``S`` (solve both with the operator frozen at the input)
-has the regularized solutions as fixed points.  By default the driver
-solves the one target level ``eps = min(k0, 1e-4)`` from the time-linear
-interpolant; an explicit decreasing schedule warm-starts each level from
-the last.  A level whose start already passes one sweep of ``S`` is
-accepted (the trivial instance is exact in one sweep); otherwise
-Newton-Krylov solves the stationarity system from the start.  Iterating
+has the regularized solutions as fixed points.  The driver solves the one
+level ``eps = min(k0, 1e-4)`` from the time-linear interpolant.  A start
+that already passes one sweep of ``S`` is accepted (the trivial instance
+is exact in one sweep); otherwise Newton-Krylov solves the stationarity
+system from the start.  Iterating
 ``S`` itself does not pay: its local Lipschitz constant is on the order of
 ``1/eps`` on any nontrivial instance.  The Krylov solves are
 preconditioned by the level's system linearised at the uniform state,
@@ -101,9 +100,7 @@ class CongestionSpec:
 
     ``alpha`` weights the density in the kinetic term, ``mu`` is the
     congestion power; the solvable range is ``alpha in (0, 2)``, ``mu > 0``
-    with ``alpha < mu + 1``.  Marginals default to uniform.  ``eps_schedule``
-    defaults to the target level ``(min(k0, 1e-4),)``; an explicit one is a
-    strictly decreasing continuation starting at most at ``k0``.
+    with ``alpha < mu + 1``.  Marginals default to uniform.
     """
 
     grid: Grid
@@ -111,7 +108,6 @@ class CongestionSpec:
     mu: float = 1.0
     m0: np.ndarray | None = None
     mT: np.ndarray | None = None
-    eps_schedule: tuple[float, ...] | None = None
     tol_fp: float = 1e-6
 
     def __post_init__(self):
@@ -126,22 +122,17 @@ class CongestionSpec:
             raise ValueError("sixth differences in time need nt >= 7")
         for name in ("m0", "mT"):
             object.__setattr__(self, name, check_marginal(g, getattr(self, name), name))
-        if self.eps_schedule is None:
-            object.__setattr__(self, "eps_schedule", (min(self.k0, 1e-4),))
-        sched = tuple(float(e) for e in self.eps_schedule)
-        if not sched or any(not e > 0 for e in sched):  # NaN entries included
-            raise ValueError("eps schedule must be nonempty and positive")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("eps schedule must be strictly decreasing")
-        if sched[0] > self.k0:
-            raise ValueError(f"eps schedule starts above k0={self.k0:.3e}")
-        object.__setattr__(self, "eps_schedule", sched)
         if not 0 < self.tol_fp < np.inf:
             raise ValueError("tolerance must be positive and finite")
 
     @property
     def k0(self) -> float:
         return float(min(np.min(self.m0), np.min(self.mT)))
+
+    @property
+    def eps(self) -> float:
+        """The regularization level solved: ``1e-4``, capped at ``k0``."""
+        return min(self.k0, 1e-4)
 
     @property
     def kappa(self) -> float:
@@ -160,7 +151,7 @@ class CongestionSpec:
     def planning_view(self, floor: float) -> PlanningSpec:
         # reuse the planning module's slice pinning, interpolant and
         # density-floor repair machinery on this instance's marginals; the
-        # cap keeps the view constructible when a schedule level equals k0
+        # cap keeps the view constructible when the level equals k0
         floor = min(floor, (1.0 - 1e-9) * self.k0)
         return PlanningSpec(grid=self.grid, m0=self.m0, mT=self.mT, floor=floor)
 
@@ -306,10 +297,10 @@ class _Level:
     precondition: Callable[[np.ndarray], np.ndarray]
 
 
-def _level(spec: CongestionSpec, eps: float, interp: Field | None = None) -> _Level:
+def _level(spec: CongestionSpec, eps: float) -> _Level:
     g = spec.grid
     view = spec.planning_view(floor=eps)
-    interp = initial_guess(view).phi if interp is None else interp
+    interp = initial_guess(view).phi
     lift = g.zeros()
     lift[0], lift[-1] = interp[0], interp[-1]
     wt = time_weights(g)
@@ -581,57 +572,47 @@ def weak_certificate(
 def solve_congestion(spec: CongestionSpec) -> SolveReport:
     """Regularized fixed-point driver; returns the report with the solution.
 
-    The levels are ``spec.eps_schedule``: by default the target level alone,
-    started from the time-linear interpolant; an explicit schedule starts
-    each level from the previous level's pair.  Per level: one sweep of
-    ``S`` from the (floor-clipped) start; if its residual is above
+    Solves the one level ``spec.eps`` from the (floor-clipped) time-linear
+    interpolant: one sweep of ``S`` from the start; if its residual is above
     ``tol_fp``, a Newton-Krylov solve of the same fixed-point equation runs
-    from the start and its result is verified by one more sweep.  The level
+    from the start and its result is verified by one more sweep.  The solve
     keeps whichever of the start and the candidate has the lower verified
-    residual, so a failed solve never poisons a following level.  The
-    report's trace carries every verified residual (at most two per level);
-    ``converged`` means every level met ``tol_fp``.  Each level also reports
+    residual.  The report's trace carries every verified residual (at most
+    two); ``diagnostics.per_eps`` holds the level's a-priori integrals and
     its Newton-Krylov counts (see :func:`_newton_polish`; ``None`` and zeros
-    when no solve ran).
+    when no solve ran) as its one entry.
     """
     t_start = time.perf_counter()
-    pp = initial_guess(spec.planning_view(floor=spec.eps_schedule[0]))
-    interp, constants = pp.phi, _apriori_constants(spec, pp)
+    eps = spec.eps
+    lvl = _level(spec, eps)
+    pp = PotentialPair(lvl.interp, np.zeros(spec.grid.nt))
+    constants = _apriori_constants(spec, pp)
+    pp = PotentialPair(clip_to_floor(lvl.view, pp.phi), pp.q)
+    resid = _sweep_residual(spec, lvl, pp)
+    trace = [resid]
+    newton_status = None
+    counts = {"newton_nit": None, "newton_residual_evals": 0, "newton_floored_nodes": 0}
+    if resid > spec.tol_fp:
+        cand, newton_status = _newton_polish(spec, lvl, pp, counts)
+        trace.append(_sweep_residual(spec, lvl, cand))
+        if trace[-1] < resid:
+            pp, resid = cand, trace[-1]
+    level = apriori_diagnostics(spec, eps, pp, constants)
+    level.update(
+        **counts,
+        eps=eps,
+        iterations=len(trace),
+        fp_residual=resid,
+        converged=resid <= spec.tol_fp,
+        used_newton=newton_status is not None,
+        newton_status=newton_status,
+    )
 
-    trace: list[float] = []
-    per_eps: list[dict] = []
-
-    for eps in spec.eps_schedule:
-        lvl = _level(spec, eps, interp)
-        pp = PotentialPair(clip_to_floor(lvl.view, pp.phi), pp.q)
-        resid = _sweep_residual(spec, lvl, pp)
-        residuals = [resid]
-        newton_status = None
-        counts = {"newton_nit": None, "newton_residual_evals": 0, "newton_floored_nodes": 0}
-        if resid > spec.tol_fp:
-            cand, newton_status = _newton_polish(spec, lvl, pp, counts)
-            residuals.append(_sweep_residual(spec, lvl, cand))
-            if residuals[-1] < resid:
-                pp, resid = cand, residuals[-1]
-        trace.extend(residuals)
-        level_diag = apriori_diagnostics(spec, eps, pp, constants)
-        level_diag.update(
-            **counts,
-            eps=eps,
-            iterations=len(residuals),
-            fp_residual=resid,
-            converged=resid <= spec.tol_fp,
-            used_newton=newton_status is not None,
-            newton_status=newton_status,
-        )
-        per_eps.append(level_diag)
-
-    fp_residual = per_eps[-1]["fp_residual"]
     solution = recover_congestion(spec, pp)
     diagnostics = {
-        "per_eps": per_eps,
-        "fp_residual_sup": fp_residual,
-        "floored_nodes": sum(level["newton_floored_nodes"] for level in per_eps),
+        "per_eps": [level],
+        "fp_residual_sup": resid,
+        "floored_nodes": counts["newton_floored_nodes"],
         "kappa": spec.kappa,
         "kappa_alternate": spec.kappa_alternate,
         "min_density": float(np.min(solution.m)),
@@ -639,9 +620,9 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
     return SolveReport(
         pair=pp,
         objective_trace=np.asarray(trace),
-        grad_norm=fp_residual,
+        grad_norm=resid,
         iterations=len(trace),
-        converged=all(level["converged"] for level in per_eps),
+        converged=level["converged"],
         wall_time=time.perf_counter() - t_start,
         diagnostics=diagnostics,
         solution=solution,

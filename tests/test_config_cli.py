@@ -183,6 +183,26 @@ def test_hughes_density_sample_must_be_a_number(tmp_path, value):
         parse_config(write_config(tmp_path, doc))
 
 
+def test_hughes_rejects_a_grid_block(tmp_path):
+    # the window and its nodes come from the hughes block; a grid block would be ignored
+    doc = {
+        "schema_version": 1,
+        "mode": "hughes",
+        "output_dir": str(tmp_path / "out"),
+        "grid": {"nt": 1, "nx": "abc", "bogus": 3},
+        "hughes": {
+            "x_min": -1.0, "x_max": 1.0, "nx": 11, "times": [0.0, 0.5],
+            "rho0": {"type": "constant", "value": 0.3},
+        },
+    }
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match=r"^schema violation at grid: hughes runs take their "
+                                          r"window from the hughes block"):
+        parse_config(path)
+    assert main(["solve", str(path), "--quiet"]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_planning_step0_is_unknown_key(tmp_path):
     doc = planning_doc()
     doc["planning"]["step0"] = 1.0
@@ -224,15 +244,16 @@ def test_output_dir_must_be_a_path(tmp_path, capsys, command, value):
     assert "error: schema violation at output_dir" in capsys.readouterr().err
 
 
-def test_congestion_schedule_must_be_list(tmp_path):
+def test_congestion_eps_schedule_is_unknown_key(tmp_path):
     doc = {
         "schema_version": 1,
         "mode": "congestion",
         "grid": {"nt": 13, "nx": 24},
         "congestion": {"m0": "uniform", "mT": "uniform", "eps_schedule": 0.1},
     }
-    with pytest.raises(ConfigError, match="eps_schedule"):
+    with pytest.raises(ConfigError) as exc:
         parse_config(write_config(tmp_path, doc))
+    assert str(exc.value) == "schema violation at congestion.eps_schedule: unknown key"
 
 
 def test_repo_example_configs_parse():
@@ -396,7 +417,7 @@ def test_congestion_default_schedule_runs_below_the_target_level(tmp_path):
         "congestion": {"m0": {"type": "sine", "amplitude": 0.99995, "mode": 1}, "mT": "uniform"},
     }
     cfg = parse_config(write_config(tmp_path, doc))
-    assert cfg.spec.eps_schedule == (cfg.spec.k0,) and cfg.spec.k0 < 1e-4
+    assert cfg.spec.eps == cfg.spec.k0 < 1e-4
     assert run(cfg, quiet=True) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["converged"] is True and len(report["diagnostics"]["per_eps"]) == 1
@@ -469,6 +490,18 @@ def validate_doc(block, grid=None):
         "grid": grid or {"nt": 9, "nx": 16},
         "validate": block,
     }
+
+
+@pytest.mark.parametrize("key, value", [("order", 7), ("tol", "abc"), ("floor", 1e-8),
+                                        ("max_iters", -3)])
+def test_validate_block_rejects_solver_keys(tmp_path, key, value):
+    # validation solves nothing: only the model and marginal keys are accepted
+    doc = validate_doc({"m0": "uniform", "mT": "uniform", key: value})
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(path)
+    assert str(exc.value) == f"schema violation at validate.{key}: unknown key"
+    assert main(["validate", str(path), "--quiet"]) == 1
 
 
 def test_validation_passes_on_quadratic_defaults(tmp_path):
@@ -588,6 +621,15 @@ def test_seed_override_lands_in_report(tmp_path):
     assert main(["solve", str(path), "--seed", "42", "--quiet"]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["seed"] == 42
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_seed_override_is_range_checked(tmp_path, capsys, command):
+    doc = planning_doc(output_dir=str(tmp_path / "out"))
+    path = write_config(tmp_path, doc)
+    assert main([command, str(path), "--seed", "-5", "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: range violation at --seed: -5 below minimum 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_quiet_suppresses_progress(tmp_path, capsys):

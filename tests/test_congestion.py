@@ -61,19 +61,14 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         CongestionSpec(grid=Grid(nt=5, nx=16, horizon=1.0))  # too few time nodes
     with pytest.raises(ValueError):
-        CongestionSpec(grid=g, eps_schedule=(1e-2, 1e-2))  # not decreasing
-    with pytest.raises(ValueError):
-        CongestionSpec(grid=g, eps_schedule=(2.0, 1.0))  # starts above k0
-    with pytest.raises(ValueError):
         CongestionSpec(grid=g, m0=np.full(16, 1.5))  # not normalized
     with pytest.raises(ValueError, match="m0 must be finite and strictly positive"):
         CongestionSpec(grid=g, m0=np.where(np.arange(16) == 5, np.nan, 1.0))
     for tol_fp in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             CongestionSpec(grid=g, tol_fp=tol_fp)
-    for schedule in ((np.nan,), (0.1, np.nan), (0.1, np.nan, 0.01)):
-        with pytest.raises(ValueError, match="eps schedule must be nonempty and positive"):
-            CongestionSpec(grid=g, eps_schedule=schedule)
+    with pytest.raises(TypeError):
+        CongestionSpec(grid=g, eps_schedule=(0.1,))  # the level is derived, not set
 
 
 def test_exponent_metadata():
@@ -87,11 +82,13 @@ def test_exponent_metadata():
 
 def test_default_schedule_geometry():
     spec = sine_spec()  # k0 = 0.9
-    assert spec.eps_schedule == (1e-4,)
+    assert spec.eps == 1e-4
+    with pytest.raises(AttributeError):
+        spec.eps = 0.1
     g = Grid(nt=13, nx=24, horizon=1.0)
     thin = CongestionSpec(grid=g, m0=sine_density(g.nx, amplitude=0.99995))
     assert thin.k0 == pytest.approx(5e-5)
-    assert thin.eps_schedule == (thin.k0,)
+    assert thin.eps == thin.k0
 
 
 @pytest.mark.parametrize("amplitude", [0.99995, 0.9999])
@@ -427,11 +424,11 @@ def test_solve_factors_once_per_level_and_builds_bands_once(monkeypatch):
 
 
 def test_inner_solves_are_the_halves_of_one_sweep():
-    # a rough feasible base point at the last level: F1 and F2 are nonzero, and
+    # a rough feasible base point at the solved level: F1 and F2 are nonzero, and
     # the linear solve dips below the floor, so the repair runs inside the sweep
     spec = sine_spec(alpha=0.5, mu=1.0)
     g = spec.grid
-    eps = spec.eps_schedule[-1]
+    eps = spec.eps
     rng = np.random.default_rng(11)
     pp0 = random_feasible_pair(spec.planning_view(floor=eps), rng, amplitude=0.25)
     lvl = _level(spec, eps)
@@ -446,9 +443,9 @@ def test_default_solve_builds_one_level(monkeypatch):
     built = []
     build = congestion._level
 
-    def counted(spec, eps, *interp):
+    def counted(spec, eps):
         built.append(eps)
-        return build(spec, eps, *interp)
+        return build(spec, eps)
 
     monkeypatch.setattr(congestion, "_level", counted)
     report = solve_congestion(sine_spec(alpha=0.5, mu=1.0))
@@ -456,44 +453,12 @@ def test_default_solve_builds_one_level(monkeypatch):
     assert [level["eps"] for level in report.diagnostics["per_eps"]] == built
 
 
-def test_explicit_schedule_warm_starts_each_level(monkeypatch, sine_report):
-    # every level starts from the pair the previous level accepted: the start
-    # when the Newton-Krylov candidate's verified residual is not lower
-    spec, report = sine_report
-    verified = []
-    sweep_residual = congestion._sweep_residual
-
-    def recorded(spec, lvl, pp):
-        resid = sweep_residual(spec, lvl, pp)
-        verified.append((lvl.eps, pp, resid))
-        return resid
-
-    monkeypatch.setattr(congestion, "_sweep_residual", recorded)
-    schedule = (0.1, 0.01, 1e-4)
-    explicit = solve_congestion(sine_spec(alpha=0.5, mu=1.0, eps_schedule=schedule))
-    assert explicit.converged
-    assert [level["eps"] for level in explicit.diagnostics["per_eps"]] == list(schedule)
-    starts, accepted = [], []
-    for eps in schedule:
-        calls = [(pp, resid) for e, pp, resid in verified if e == eps]
-        starts.append(calls[0][0])
-        accepted.append(min(calls, key=lambda call: call[1])[0])
-    interp = initial_guess(spec.planning_view(floor=schedule[0]))
-    assert np.array_equal(starts[0].phi, interp.phi) and not starts[0].q.any()
-    for start, previous in zip(starts[1:], accepted[:-1]):
-        assert np.array_equal(start.phi, previous.phi)
-        assert np.array_equal(start.q, previous.q)
-    assert np.array_equal(accepted[-1].phi, explicit.pair.phi)
-    assert np.max(np.abs(explicit.pair.phi - report.pair.phi)) <= 1e-10
-    assert np.max(np.abs(explicit.pair.q - report.pair.q)) <= 1e-10
-
-
 # alpha = 1.5 with mu = 0.5 is outside the solvable range alpha < mu + 1
 @pytest.mark.parametrize("alpha,mu", [(0.5, 0.5), (0.5, 2.0), (1.5, 2.0)])
 @pytest.mark.parametrize("nt,nx", [(7, 8), (49, 96)])
 def test_preconditioner_phi_block_factors_positive_definite(nt, nx, alpha, mu):
     spec = CongestionSpec(grid=Grid(nt=nt, nx=nx, horizon=1.0), alpha=alpha, mu=mu)
-    for eps in (0.1, spec.eps_schedule[-1]):
+    for eps in (0.1, spec.eps):
         # ModeBanded.factor raises LinAlgError on a mode that is not positive definite
         assert callable(_level(spec, eps).precondition)
 
