@@ -71,6 +71,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 MODES = ("planning", "congestion", "hughes", "validate")
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's parser when built in
 
 
 class ConfigError(Exception):
@@ -351,13 +352,17 @@ def _hughes_from(block: dict, path: str) -> HughesSpec:
 
 
 def parse_config(path) -> RunConfig:
-    """Load, schema-check, and range-check one YAML run description."""
+    """Load, schema-check, and range-check one YAML run description.
+
+    PyYAML decodes the bytes (an invalid one is a parse error) and parses them with
+    ``_YAML_LOADER``, libyaml's ``CSafeLoader`` if built in, else ``SafeLoader``: both
+    build the document with the same safe constructor and resolver, so the values agree."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
+        with open(path, "rb") as fh:
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -427,7 +432,7 @@ def _keep_table() -> np.ndarray:
     """Row ``18 (k + 100) + nd``: the bytes ``format(v, ".17g")`` shows, less the sign, of a
     48-byte cell (six words: ``-0.000``, 17 digits each followed by a ``.`` slot, ``e±XXX``,
     the separator, two unused bytes) at exponent ``k`` (as for +-100 beyond it), ``nd`` digits."""
-    k, nd, pos = np.ogrid[-100:101, :18, :48]
+    k, nd, pos = (v.astype(np.int16) for v in np.ogrid[-100:101, :18, :48])
     fixed, small = (k >= -4) & (k < 17), (k >= -4) & (k < 0)
     dot = np.where(fixed, np.where(small, 18, k + 1), 1)  # digits before the dot
     shown = np.maximum(nd, np.where(fixed & ~small, k + 1, 0))  # "100", not "1"
@@ -444,9 +449,10 @@ _HH = _SPLIT * _HI - (_SPLIT * _HI - _HI)  # Veltkamp's split: _HI = _HH + (_HI 
 _POW10, _KEEP = np.column_stack([_HI, _HH, _HI - _HH, _LO]), _keep_table()
 _LEAD = np.frombuffer("".join(f"-0.000{i}." for i in range(10)).encode(), "<u8")
 _EXP = np.frombuffer("".join(f"e{k:+04d}\0\0\0" for k in range(_K_MIN, _K_MAX + 1)).encode(), "<u8")
-_QUAD_DIGITS = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.int8)
+_QUAD_DIGITS = np.arange(10000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
 _QUADS = np.insert(48 + _QUAD_DIGITS, range(1, 5), ord("."), axis=1).astype(np.uint8).view("<u8")
-_ZEROS = np.cumprod(_QUAD_DIGITS[:, ::-1] == 0, axis=1).sum(axis=1, dtype=np.int8)  # 4 for 0
+# trailing zero digits of each quad, 4 for 0
+_ZEROS = np.cumprod(_QUAD_DIGITS[:, ::-1] == 0, axis=1, dtype=np.int8).sum(axis=1, dtype=np.int8)
 
 
 def _format_block(x: np.ndarray, cols: int) -> bytes:
@@ -509,7 +515,8 @@ def write_field_csv(path, ts, xs, field) -> None:
     if field.ndim != 2 or ts.shape != field.shape[:1] or xs.shape != field.shape[1:]:
         raise ValueError(f"field of shape {field.shape} needs ts of shape (rows,) and xs of "
                          f"shape (columns,), got ts {ts.shape} and xs {xs.shape}")
-    table = np.block([[np.zeros((1, 1)), xs[None]], [ts[:, None], field]])  # "0" becomes "t"
+    table = np.empty((ts.size + 1, xs.size + 1))
+    table[0, 0], table[0, 1:], table[1:, 0], table[1:, 1:] = 0.0, xs, ts, field  # "0" becomes "t"
     Path(path).write_bytes(b"t" + _format_rows(table)[1:])
 
 

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solveh_banded
 from scipy.optimize import root
 from scipy.sparse.linalg import LinearOperator
@@ -55,6 +54,7 @@ from .grid import (
     Grid,
     ModeBanded,
     TimeSeries,
+    antiderivative_t,
     antiderivative_x,
     dt_interior,
     dx_periodic,
@@ -206,11 +206,7 @@ def _images(spec: CongestionSpec, y: Field, z: Field) -> OperatorImage:
     g = spec.grid
     rho = z * y ** (spec.alpha - 1.0)
     sigma = z * z * y ** (spec.alpha - 2.0)
-    f1 = (
-        -dt_interior(g, rho)
-        + 0.5 * dx_periodic(g, sigma)
-        - dx_periodic(g, y**spec.mu)
-    )
+    f1 = -dt_interior(g, rho) + 0.5 * dx_periodic(g, sigma) - dx_periodic(g, y**spec.mu)
     f2 = g.dx * np.sum(rho, axis=1)
     return OperatorImage(f1=f1, f2=f2)
 
@@ -234,15 +230,13 @@ def monotonicity_gap(spec: CongestionSpec, a: PotentialPair, b: PotentialPair) -
     of the pointwise certificate plus the monotone power term, so up to
     rounding it is nonnegative for strictly feasible pairs.
     """
-    g = spec.grid
-    ia = apply_F(spec, a)
-    ib = apply_F(spec, b)
-    w = st_weights(g)
-    wt = time_weights(g)
-    return float(
-        np.sum(w * (ia.f1 - ib.f1) * (a.phi - b.phi))
-        + np.sum(wt * (ia.f2 - ib.f2) * (a.q - b.q))
-    )
+    ia, ib = apply_F(spec, a), apply_F(spec, b)
+    return _pairing(spec.grid, ia.f1 - ib.f1, ia.f2 - ib.f2, a.phi - b.phi, a.q - b.q)
+
+
+def _pairing(g: Grid, f1: Field, f2: TimeSeries, dphi: Field, dq: TimeSeries) -> float:
+    """``<f1, dphi>_W + <f2, dq>_wt``: an image paired with a difference of pairs."""
+    return float(np.sum(st_weights(g) * f1 * dphi) + np.sum(time_weights(g) * f2 * dq))
 
 
 def pointwise_certificate(ya, za, yb, zb, alpha: float):
@@ -537,7 +531,7 @@ def recover_congestion(spec: CongestionSpec, pp: PotentialPair) -> MFGSolution:
     ux = dx_periodic(g, u)
     hj = -dt_interior(g, u) + ux**2 / (2.0 * m**spec.alpha) - m**spec.mu
     c = hj.mean(axis=1)
-    theta = cumulative_trapezoid(c, dx=g.dt, initial=0.0)
+    theta = antiderivative_t(g, c)
     fp = dt_interior(g, m) - dx_periodic(g, ux * m ** (1.0 - spec.alpha))
     return MFGSolution(u=u, m=m, theta=theta, residual_hj=hj - c[:, None], residual_fp=fp)
 
@@ -556,16 +550,11 @@ def weak_certificate(
     """
     g = spec.grid
     pview = spec.planning_view(floor=min(1e-8, spec.k0 / 4))
-    w = st_weights(g)
-    wt = time_weights(g)
     out = np.empty(n_tests)
     for k in range(n_tests):
         test = random_feasible_pair(pview, rng, amplitude=amplitude)
         img = apply_F(spec, test)
-        out[k] = float(
-            np.sum(w * img.f1 * (test.phi - pp.phi))
-            + np.sum(wt * img.f2 * (test.q - pp.q))
-        )
+        out[k] = _pairing(g, img.f1, img.f2, test.phi - pp.phi, test.q - pp.q)
     return out
 
 

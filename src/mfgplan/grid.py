@@ -37,6 +37,7 @@ __all__ = [
     "integrate_x",
     "integrate_xt",
     "antiderivative_x",
+    "antiderivative_t",
     "time_weights",
     "st_weights",
     "ModeBanded",
@@ -238,6 +239,11 @@ def antiderivative_x(grid: Grid, f: np.ndarray) -> np.ndarray:
     out[..., 0] = 0.0
     np.cumsum(0.5 * grid.dx * (f[..., 1:] + f[..., :-1]), axis=-1, out=out[..., 1:])
     return out
+
+
+def antiderivative_t(grid: Grid, c: TimeSeries) -> TimeSeries:
+    """Cumulative trapezoid rule in t from 0 at ``t = 0``: scipy's ``cumulative_trapezoid``."""
+    return np.concatenate(([0.0], np.cumsum(grid.dt * (c[1:] + c[:-1]) / 2.0)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -275,11 +275,8 @@ def project_tangent(grid: Grid, dphi: Field) -> Field:
     orthogonal projection in both the plain and the weighted inner product.
     """
     out = dphi.copy()
-    out[0] = 0.0
-    out[-1] = 0.0
-    out -= out.mean(axis=1, keepdims=True)
-    out[0] = 0.0
-    out[-1] = 0.0
+    out[[0, -1]] = 0.0
+    out -= out.mean(axis=1, keepdims=True)  # zero on the pinned rows, which stay 0
     return out
 
 

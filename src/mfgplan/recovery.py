@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .grid import (
     Field,
     TimeSeries,
+    antiderivative_t,
     antiderivative_x,
     dt_interior,
     dx_periodic,
@@ -101,7 +101,7 @@ def recover(spec: PlanningSpec, pp: PotentialPair, slopes: Field | None = None) 
     u = antiderivative_x(g, model.lagrangian.derivative(flux / m) if slopes is None else slopes)
 
     c, residual_hj = _hj_parts(spec, u, m)
-    theta = cumulative_trapezoid(c, dx=g.dt, initial=0.0)
+    theta = antiderivative_t(g, c)
 
     drift = model.hamiltonian.derivative(dx_periodic(g, u)) * m
     residual_fp = dt_interior(g, m) - lam * dxx_periodic(g, m) - dx_periodic(g, drift)

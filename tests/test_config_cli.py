@@ -1,5 +1,6 @@
 """Config parsing, CSV round-trips, run dispatch, and exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+from mfgplan import cli
 from mfgplan.cli import (
     ConfigError,
     main,
@@ -65,11 +67,63 @@ def test_missing_config_file(tmp_path):
         parse_config(tmp_path / "absent.yaml")
 
 
-def test_parse_error_reports_location(tmp_path):
+LOADERS = (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
+def test_parse_error_reports_location(tmp_path, monkeypatch):
     path = tmp_path / "broken.yaml"
     path.write_text("schema_version: 1\nmode: planning\n  bad: {\n")
-    with pytest.raises(ConfigError, match=r"line 3, column"):
-        parse_config(path)
+    for loader in LOADERS:
+        monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+        with pytest.raises(ConfigError, match=r"line 3, column"):
+            parse_config(path)
+
+
+def test_undecodable_byte_is_a_parse_error(tmp_path, monkeypatch):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"# caf\xe9\n" + yaml.safe_dump(planning_doc()).encode())
+    for loader in LOADERS:
+        monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+        with pytest.raises(ConfigError, match="parse error"):
+            parse_config(path)
+
+
+def _state(value):
+    """What a parsed spec holds, comparable with ``==``: arrays by dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, {f.name: _state(getattr(value, f.name))
+                                      for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_state(v) for v in value]
+    return value.__qualname__ if callable(value) else value
+
+
+def _samples_doc_path(tmp_path):
+    """A planning document as the benchmark writes it: 256 sample floats per density."""
+    rng = np.random.default_rng(7)
+    x = np.arange(256) / 256
+    m0, mT = (1.0 + a * np.sin(2.0 * np.pi * x + th) for a, th in rng.uniform(0.1, 0.6, (2, 2)))
+    doc = planning_doc(grid={"nt": 32, "nx": 256, "horizon": 1.0},
+                       planning={"m0": {"type": "samples", "values": m0.tolist()},
+                                 "mT": {"type": "samples", "values": mT.tolist()},
+                                 "order": 1, "tol": 1.0e-8})
+    path = tmp_path / "samples.yaml"
+    path.write_text(yaml.safe_dump(doc, default_flow_style=None, sort_keys=False))
+    return path
+
+
+def test_both_yaml_loaders_parse_the_same_configs(tmp_path, monkeypatch):
+    paths = sorted(Path("configs").glob("*.yaml")) + [_samples_doc_path(tmp_path)]
+    assert len(paths) > 1
+    for path in paths:
+        parsed = []
+        for loader in LOADERS:
+            monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+            cfg = parse_config(path)
+            parsed.append((cfg.mode, cfg.seed, cfg.output_dir, _state(cfg.spec)))
+        assert parsed[0] == parsed[1], path
 
 
 def test_missing_density_is_schema_error(tmp_path):

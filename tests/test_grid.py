@@ -9,6 +9,7 @@ from scipy.linalg import solveh_banded
 from mfgplan.grid import (
     Grid,
     ModeBanded,
+    antiderivative_t,
     antiderivative_x,
     dt_interior,
     dt_transpose,
@@ -113,6 +114,16 @@ def test_antiderivative_basic():
     F = antiderivative_x(g, np.cos(2 * np.pi * g.x))
     exact = np.sin(2 * np.pi * g.x) / (2 * np.pi)
     assert np.max(np.abs(F - exact)) <= 10 * g.dx
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 257])
+def test_antiderivative_t_is_scipys_cumulative_trapezoid(n):
+    from scipy.integrate import cumulative_trapezoid
+
+    g, rng = Grid(nt=max(n, 3), nx=8, horizon=0.7), np.random.default_rng(n)
+    c = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    expected = cumulative_trapezoid(c, dx=g.dt, initial=0.0)
+    assert antiderivative_t(g, c).tobytes() == expected.tobytes()
 
 
 def test_time_weights_sum_to_horizon():

@@ -6,6 +6,9 @@ caller outside the module).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,11 @@ def test_unused_import_is_found():
     source = "import os\nfrom json import dumps, loads\nfrom sys import path  # noqa: F401\n"
     assert unused_imports(source + "loads('1')\n") == ["dumps", "os"]
     assert unused_imports(source + "__all__ = ['dumps']\nos.sep\n") == ["loads"]
+
+
+def test_scipy_integrate_stays_out_of_the_import_graph():
+    code = ("import sys, mfgplan.cli, mfgplan.hughes, mfgplan.congestion; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(_PACKAGE.parent)}).stdout
+    assert out.strip() == "False"
