@@ -10,8 +10,8 @@ directory:
 
     solution_phi.csv / solution_q.csv / solution_u.csv / solution_m.csv
         row = time node, column = space node, header row of x-coordinates
-        (hughes runs have no value function or gauge, so only phi and the
-        density file are produced there),
+        (hughes runs have no value function or gauge: they write phi, the
+        density, and solution_ystar.csv, the envelope optimizer),
     report.json
         structured summary: convergence flags, traces, residual norms,
         timings,
@@ -218,8 +218,8 @@ def _target_from(block: dict, grid: Grid, path: str, keys=_MODEL_KEYS) -> Valida
     if coup_entry == "quadratic":
         coup = quadratic_coupling()
     elif coup_entry == "linear":
-        # deliberately fails the strict-convexity assumption; useful to
-        # demonstrate the validator, rejected by the solvers' own checks
+        # fails the strict-convexity assumption: the solvers accept it, and only
+        # ``mfgplan validate`` flags it
         coup = Coupling(
             G=lambda z: np.asarray(z, dtype=float).copy(),
             g=lambda z: np.ones_like(np.asarray(z, dtype=float)),
@@ -253,19 +253,16 @@ def _planning_from(block: dict, grid: Grid, path: str) -> PlanningSpec:
     order = _integer(block.get("order", 0), f"{path}.order")
     if order not in (0, 1):
         raise ConfigError(f"range violation at {path}.order: must be 0 or 1, got {order}")
-    try:
-        return PlanningSpec(
-            grid=grid,
-            model=target.model,
-            m0=target.m0,
-            mT=target.mT,
-            order=order,
-            max_iters=_integer(block.get("max_iters", 20000), f"{path}.max_iters", lo=1),
-            tol=_number(block.get("tol", 1e-8), f"{path}.tol", lo=0.0, lo_open=True),
-            floor=_number(block.get("floor", 1e-8), f"{path}.floor", lo=0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"range violation in {path}: {exc}") from exc
+    return PlanningSpec(
+        grid=grid,
+        model=target.model,
+        m0=target.m0,
+        mT=target.mT,
+        order=order,
+        max_iters=_integer(block.get("max_iters", 20000), f"{path}.max_iters", lo=1),
+        tol=_number(block.get("tol", 1e-8), f"{path}.tol", lo=0.0, lo_open=True),
+        floor=_number(block.get("floor", 1e-8), f"{path}.floor", lo=0.0),
+    )
 
 
 _CONGESTION_KEYS = {"alpha", "mu", "m0", "mT", "tol_fp"}
@@ -278,17 +275,14 @@ def _congestion_from(block: dict, grid: Grid, path: str) -> CongestionSpec:
     mu = _number(block.get("mu", 1.0), f"{path}.mu", lo=0.0, lo_open=True)
     m0 = _density_from(_require(block, "m0", path), grid, f"{path}.m0")
     mT = _density_from(_require(block, "mT", path), grid, f"{path}.mT")
-    try:
-        return CongestionSpec(
-            grid=grid,
-            alpha=alpha,
-            mu=mu,
-            m0=m0,
-            mT=mT,
-            tol_fp=_number(block.get("tol_fp", 1e-6), f"{path}.tol_fp", lo=0.0, lo_open=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"range violation in {path}: {exc}") from exc
+    return CongestionSpec(
+        grid=grid,
+        alpha=alpha,
+        mu=mu,
+        m0=m0,
+        mT=mT,
+        tol_fp=_number(block.get("tol_fp", 1e-6), f"{path}.tol_fp", lo=0.0, lo_open=True),
+    )
 
 
 _HUGHES_KEYS = {"x_min", "x_max", "nx", "times", "branch", "speed", "rho0"}
@@ -331,24 +325,16 @@ def _hughes_from(block: dict, path: str) -> HughesSpec:
     else:
         sb = _typed_entry(speed_entry, f"{path}.speed", "congestion", {"k1", "k2", "beta"},
                           "linear or congestion")
-        try:
-            speed = CongestionSpeed(
-                k1=_number(sb.get("k1", 1.0), f"{path}.speed.k1", lo=0.0, lo_open=True),
-                k2=_number(sb.get("k2", 1.0), f"{path}.speed.k2", lo=0.0, lo_open=True),
-                beta=_number(sb.get("beta", 0.25), f"{path}.speed.beta",
-                             lo=0.0, hi=0.5, lo_open=True),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"range violation in {path}.speed: {exc}") from exc
+        speed = CongestionSpeed(
+            k1=_number(sb.get("k1", 1.0), f"{path}.speed.k1", lo=0.0, lo_open=True),
+            k2=_number(sb.get("k2", 1.0), f"{path}.speed.k2", lo=0.0, lo_open=True),
+            beta=_number(sb.get("beta", 0.25), f"{path}.speed.beta", lo=0.0, hi=0.5, lo_open=True),
+        )
 
     xs = np.linspace(x_min, x_max, nx)
     rho0 = _hughes_density_from(_require(block, "rho0", path), xs, f"{path}.rho0")
     branch = block.get("branch", "increasing")
-    try:
-        return HughesSpec(x_min=x_min, x_max=x_max, rho0=rho0, times=times,
-                          branch=branch, speed=speed)
-    except ValueError as exc:
-        raise ConfigError(f"range violation in {path}: {exc}") from exc
+    return HughesSpec(x_min=x_min, x_max=x_max, rho0=rho0, times=times, branch=branch, speed=speed)
 
 
 def parse_config(path) -> RunConfig:
@@ -395,19 +381,21 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"schema violation at output_dir: expected a path, got {output_dir!r}")
 
     block = doc[mode]
-    if mode == "hughes":
-        if "grid" in doc:
-            raise ConfigError("schema violation at grid: hughes runs take their window "
-                              "from the hughes block (x_min, x_max, nx, times)")
-        spec = _hughes_from(block, "hughes")
-    else:
-        grid = _grid_from(doc.get("grid", {}), "grid")
-        if mode == "planning":
-            spec = _planning_from(block, grid, "planning")
+    if mode == "hughes" and "grid" in doc:
+        raise ConfigError("schema violation at grid: hughes runs take their window "
+                          "from the hughes block (x_min, x_max, nx, times)")
+    grid = None if mode == "hughes" else _grid_from(doc.get("grid", {}), "grid")
+    try:  # what the spec constructors reject is a range violation in the mode block
+        if mode == "hughes":
+            spec = _hughes_from(block, mode)
+        elif mode == "planning":
+            spec = _planning_from(block, grid, mode)
         elif mode == "congestion":
-            spec = _congestion_from(block, grid, "congestion")
+            spec = _congestion_from(block, grid, mode)
         else:
-            spec = _target_from(block, grid, "validate")
+            spec = _target_from(block, grid, mode)
+    except ValueError as exc:
+        raise ConfigError(f"range violation in {mode}: {exc}") from exc
     return RunConfig(mode=mode, seed=seed, output_dir=Path(output_dir), spec=spec)
 
 
@@ -585,64 +573,48 @@ def _write_solution(out: Path, g: Grid, report, sol, trace_header: str) -> None:
     _write_diagnostics(out / "diagnostics.csv", trace_header, np.arange(len(trace)), trace)
 
 
-def _run_planning(config: RunConfig, out: Path, quiet: bool) -> int:
-    spec = config.spec
+def _run_planning(spec: PlanningSpec, out: Path) -> tuple[dict, bool, str]:
     started = time.perf_counter()
     report = minimize(spec)
     sol = recover(spec, report.pair, report.slopes)
     wall = time.perf_counter() - started
-    g = spec.grid
 
-    _write_solution(out, g, report, sol, "iteration,objective")
-    checks = validate_solution(sol, spec)
+    _write_solution(out, spec.grid, report, sol, "iteration,objective")
     summary = {
-        "mode": "planning",
-        "seed": config.seed,
         "converged": bool(report.converged),
         "iterations": int(report.iterations),
         "objective": float(report.objective_trace[-1]),
         "grad_norm": float(report.grad_norm),
         "wall_time": wall,
-        "residuals": checks,
+        "residuals": validate_solution(sol, spec),
         "objective_trace": report.objective_trace,
         "diagnostics": report.diagnostics,
     }
-    _write_report(out / "report.json", summary)
-    if not quiet:
-        state = "converged" if report.converged else "NOT converged"
-        print(f"planning: {state} in {report.iterations} iterations, "
-              f"objective {summary['objective']:.12g}, grad norm {report.grad_norm:.3e}")
-    return 0 if report.converged else 2
+    state = "converged" if report.converged else "NOT converged"
+    return summary, report.converged, (
+        f"{state} in {report.iterations} iterations, "
+        f"objective {summary['objective']:.12g}, grad norm {report.grad_norm:.3e}")
 
 
-def _run_congestion(config: RunConfig, out: Path, quiet: bool) -> int:
-    spec = config.spec
+def _run_congestion(spec: CongestionSpec, out: Path) -> tuple[dict, bool, str]:
     started = time.perf_counter()
     report = solve_congestion(spec)
     wall = time.perf_counter() - started
-    g = spec.grid
-    sol = report.solution
 
-    _write_solution(out, g, report, sol, "iteration,fp_residual")
+    _write_solution(out, spec.grid, report, report.solution, "iteration,fp_residual")
     summary = {
-        "mode": "congestion",
-        "seed": config.seed,
         "converged": bool(report.converged),
         "iterations": int(report.iterations),
         "fp_residual_sup": float(report.grad_norm),
         "wall_time": wall,
         "diagnostics": report.diagnostics,
     }
-    _write_report(out / "report.json", summary)
-    if not quiet:
-        state = "converged" if report.converged else "NOT converged"
-        print(f"congestion: {state} after {report.iterations} sweeps, "
-              f"fixed-point residual {report.grad_norm:.3e}")
-    return 0 if report.converged else 2
+    state = "converged" if report.converged else "NOT converged"
+    return summary, report.converged, (
+        f"{state} after {report.iterations} sweeps, fixed-point residual {report.grad_norm:.3e}")
 
 
-def _run_hughes(config: RunConfig, out: Path, quiet: bool) -> int:
-    spec = config.spec
+def _run_hughes(spec: HughesSpec, out: Path) -> tuple[dict, bool, str]:
     started = time.perf_counter()
     sol = solve_hughes(spec)
     wall = time.perf_counter() - started
@@ -653,32 +625,33 @@ def _run_hughes(config: RunConfig, out: Path, quiet: bool) -> int:
     per_time = np.max(np.abs(sol.eikonal_residual), axis=1)
     _write_diagnostics(out / "diagnostics.csv", "time,eikonal_sup", ts, per_time)
     summary = {
-        "mode": "hughes",
-        "seed": config.seed,
         "converged": True,
         "times": list(ts),
         "eikonal_sup": float(np.max(per_time)) if per_time.size else 0.0,
         "density_range": [float(np.min(sol.rho)), float(np.max(sol.rho))],
         "wall_time": wall,
     }
-    _write_report(out / "report.json", summary)
-    if not quiet:
-        print(f"hughes: evaluated {len(sol.times)} time slices, "
-              f"eikonal sup {summary['eikonal_sup']:.3e}")
-    return 0
+    return summary, True, (
+        f"evaluated {len(sol.times)} time slices, eikonal sup {summary['eikonal_sup']:.3e}")
+
+
+_RUNNERS = {"planning": _run_planning, "congestion": _run_congestion, "hughes": _run_hughes}
 
 
 def run(config: RunConfig, quiet: bool = False) -> int:
-    """Dispatch one parsed config; returns the process exit status."""
+    """Dispatch one parsed config; returns the process exit status.
+
+    A solver run writes its outputs and ``report.json``, the runner's summary after the
+    mode and seed, and prints the runner's one-line message after the mode."""
     if config.mode == "validate":
         return run_validation(config, quiet=quiet)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    if config.mode == "planning":
-        return _run_planning(config, out, quiet)
-    if config.mode == "congestion":
-        return _run_congestion(config, out, quiet)
-    return _run_hughes(config, out, quiet)
+    summary, converged, message = _RUNNERS[config.mode](config.spec, out)
+    _write_report(out / "report.json", {"mode": config.mode, "seed": config.seed, **summary})
+    if not quiet:
+        print(f"{config.mode}: {message}")
+    return 0 if converged else 2
 
 
 # ---------------------------------------------------------------------------

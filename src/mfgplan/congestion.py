@@ -63,7 +63,6 @@ from .grid import (
     time_weights,
 )
 from .planning import (
-    PlanningSpec,
     PotentialPair,
     SolveReport,
     _metric_bands,
@@ -147,13 +146,6 @@ class CongestionSpec:
         recorded for reporting and neither is asserted by tests.
         """
         return 2 * (self.mu + 1) / (self.mu + 3 - self.alpha)
-
-    def planning_view(self, floor: float) -> PlanningSpec:
-        # reuse the planning module's slice pinning, interpolant and
-        # density-floor repair machinery on this instance's marginals; the
-        # cap keeps the view constructible when the level equals k0
-        floor = min(floor, (1.0 - 1e-9) * self.k0)
-        return PlanningSpec(grid=self.grid, m0=self.m0, mT=self.mT, floor=floor)
 
 
 @dataclass(frozen=True)
@@ -272,8 +264,8 @@ def inner_phi_objective(spec: CongestionSpec, eps: float, f1: Field, phi: Field)
 class _Level:
     """The systems of level ``eps``, built and factored once.
 
-    ``view`` is the planning view with floor ``eps``, ``lift`` the zero field
-    carrying its pinned rows, ``interp`` its time-linear interpolant; ``op``
+    ``lift`` is the zero field carrying the pinned rows, ``interp`` the
+    time-linear interpolant (:func:`~mfgplan.planning.initial_guess`); ``op``
     is ``eps (W + dt dx R)`` with its factored tangent-space ``solve``, ``ab``
     the SPD tridiagonal q-block ``eps (M + K)`` (lower banded), ``wt`` is ``M``.
     ``precondition`` applies the inverse of the Newton-Krylov Jacobian at the
@@ -281,7 +273,6 @@ class _Level:
     """
 
     eps: float
-    view: PlanningSpec
     lift: Field
     interp: Field
     op: ModeBanded
@@ -293,8 +284,7 @@ class _Level:
 
 def _level(spec: CongestionSpec, eps: float) -> _Level:
     g = spec.grid
-    view = spec.planning_view(floor=eps)
-    interp = initial_guess(view).phi
+    interp = initial_guess(spec).phi
     lift = g.zeros()
     lift[0], lift[-1] = interp[0], interp[-1]
     wt = time_weights(g)
@@ -315,7 +305,7 @@ def _level(spec: CongestionSpec, eps: float) -> _Level:
         phi = phi_block(g.dt * g.dx * r[: g.nt * g.nx].reshape(g.nt, g.nx))
         return np.append(phi, solveh_banded(q_block, g.dt * r[phi.size :], lower=True))
 
-    return _Level(eps, view, lift, interp, op, op.factor(), ab, wt, precondition)
+    return _Level(eps, lift, interp, op, op.factor(), ab, wt, precondition)
 
 
 def _sweep(spec: CongestionSpec, lvl: _Level, pp: PotentialPair) -> tuple[Field, TimeSeries]:
@@ -331,7 +321,7 @@ def _sweep(spec: CongestionSpec, lvl: _Level, pp: PotentialPair) -> tuple[Field,
     f1 = img.f1
     phi = lvl.lift + lvl.solve(-(st_weights(g) * f1 + lvl.op.apply(lvl.lift)))
     if np.min(dx_periodic(g, phi) + 1.0) < eps:
-        phi = clip_to_floor(lvl.view, phi)
+        phi = clip_to_floor(g, eps, phi)
     # the interpolant is always feasible; keep the better of the two so the
     # published descent property holds even when the repair was engaged
     if inner_phi_objective(spec, eps, f1, phi) > inner_phi_objective(spec, eps, f1, lvl.interp):
@@ -415,8 +405,7 @@ def apriori_diagnostics(spec: CongestionSpec, eps: float, pp: PotentialPair,
     """
     g = spec.grid
     w = st_weights(g)
-    c1, c2, r0 = constants or _apriori_constants(
-        spec, initial_guess(spec.planning_view(floor=spec.k0 * 0.5)))
+    c1, c2, r0 = constants or _apriori_constants(spec, initial_guess(spec))
     bound = 2.0 * (0.5 * eps * r0 + g.horizon * (c1 + c2))
 
     y = potential_fields(g, pp, 0)[1]
@@ -513,7 +502,7 @@ def _newton_polish(
         return pp, f"non-finite result discarded: {sol.message}"
     cand = unpack(sol.x)
     if np.min(dx_periodic(g, cand.phi) + 1.0) < eps:
-        cand = PotentialPair(clip_to_floor(lvl.view, cand.phi), cand.q)
+        cand = PotentialPair(clip_to_floor(g, eps, cand.phi), cand.q)
     return cand, "converged" if sol.success else str(sol.message)
 
 
@@ -549,10 +538,9 @@ def weak_certificate(
     discrete counterpart of the weak-solution property of ``pp``.
     """
     g = spec.grid
-    pview = spec.planning_view(floor=min(1e-8, spec.k0 / 4))
     out = np.empty(n_tests)
     for k in range(n_tests):
-        test = random_feasible_pair(pview, rng, amplitude=amplitude)
+        test = random_feasible_pair(spec, rng, amplitude=amplitude)
         img = apply_F(spec, test)
         out[k] = _pairing(g, img.f1, img.f2, test.phi - pp.phi, test.q - pp.q)
     return out
@@ -576,7 +564,7 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
     lvl = _level(spec, eps)
     pp = PotentialPair(lvl.interp, np.zeros(spec.grid.nt))
     constants = _apriori_constants(spec, pp)
-    pp = PotentialPair(clip_to_floor(lvl.view, pp.phi), pp.q)
+    pp = PotentialPair(clip_to_floor(spec.grid, eps, pp.phi), pp.q)
     resid = _sweep_residual(spec, lvl, pp)
     trace = [resid]
     newton_status = None

@@ -52,8 +52,8 @@ class LinearSpeed:
     """Classical speed law ``f(rho) = 1 - rho`` on densities in [0, 1].
 
     Both branch Lagrangians are exact quadratics: the convex branch has
-    ``L(w) = (w+1)^2/4`` (value 1/4 at rest) and the concave branch
-    ``L(w) = -(1-w)^2/4``.
+    ``L(w) = (w+1)^2/4`` (value 1/4 at rest) and the concave branch its
+    mirror ``-L(-w) = -(1-w)^2/4``.
     """
 
     def f(self, rho):
@@ -61,9 +61,6 @@ class LinearSpeed:
 
     def lagrangian_min(self, w):
         return (np.asarray(w, dtype=float) + 1.0) ** 2 / 4.0
-
-    def lagrangian_max(self, w):
-        return -((1.0 - np.asarray(w, dtype=float)) ** 2) / 4.0
 
     def check_density(self, rho0: np.ndarray) -> None:
         if np.min(rho0) < 0.0 or np.max(rho0) > 1.0:
@@ -83,8 +80,8 @@ class CongestionSpeed:
 
     Valid for ``0 < beta < 1/2`` and strictly positive densities; the
     convex-branch Lagrangian is finite only for leftward transport
-    (``w < 0``) and the concave branch mirrors it, both with the closed
-    form obtained from the stationary point of ``p w + c p^(1-beta)``.
+    (``w < 0``), with the closed form obtained from the stationary point of
+    ``p w + c p^(1-beta)``; the concave branch is its mirror ``-L(-w)``.
     """
 
     k1: float = 1.0
@@ -114,10 +111,6 @@ class CongestionSpeed:
         pstar = (c * (1.0 - b) / (-wn)) ** (1.0 / b)
         out[neg] = pstar * wn + c * pstar ** (1.0 - b)
         return out if out.ndim else float(out)
-
-    def lagrangian_max(self, w):
-        # the mirror image, bit for bit: negation is exact
-        return -self.lagrangian_min(-np.asarray(w, dtype=float))
 
     def check_density(self, rho0: np.ndarray) -> None:
         if np.min(rho0) <= 0.0:
@@ -213,18 +206,19 @@ def _envelope(spec: HughesSpec, phi0: np.ndarray, t: float, xs: np.ndarray):
     Piece j of ``phi0`` lies left of node j (pieces 0 and nx are the edge
     extensions) and sends its characteristics at speed ``v[j] = H'(slope)``;
     node j's fan covers ``[xs[j] + t v[j], xs[j] + t v[j+1]]``.  The fan starts
-    increase by at least dx, so one sorted search places every point.
+    increase by at least dx, so one sorted search places every point.  The
+    concave branch's Lagrangian is the mirror ``-L(-w)`` of the convex one ``L``.
     """
     nodes = spec.xs
     increasing = spec.branch == "increasing"
-    lag = spec.speed.lagrangian_min if increasing else spec.speed.lagrangian_max
     slope = np.concatenate((spec.rho0[:1], spec.rho0))  # piece j: rho0[j-1], edges extended
     v = (-1.0 if increasing else 1.0) * spec.speed.flux_slope(slope)
     k = np.searchsorted(nodes + t * v[:-1], xs, "right")
     node = np.concatenate(([-np.inf], nodes))[k]
     ystar = np.maximum(node, xs - t * v[k])
     i = np.maximum(k - 1, 0)
-    value = t * lag((xs - ystar) / t) + phi0[i] + slope[k] * (ystar - nodes[i])
+    w, lag = (xs - ystar) / t, spec.speed.lagrangian_min
+    value = t * (lag(w) if increasing else -lag(-w)) + phi0[i] + slope[k] * (ystar - nodes[i])
 
     bound = t * spec.speed.transport_bound(float(np.min(spec.rho0)), float(np.max(spec.rho0)))
     # absolute slack: x - t v rounds at the scale of x, not of t v

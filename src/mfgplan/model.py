@@ -33,6 +33,7 @@ import numpy as np
 __all__ = [
     "Hamiltonian",
     "Lagrangian",
+    "LegendreError",
     "Coupling",
     "SpatialPotential",
     "PerspectiveL0",
@@ -105,6 +106,10 @@ class SpatialPotential:
         return np.broadcast_to(v, (grid.nx,)).copy()
 
 
+class LegendreError(RuntimeError):
+    """No ``p`` with ``H'(p) = w`` was found for some slope ``w``."""
+
+
 def _bracket_slope(ham: Hamiltonian, w: np.ndarray, center=0.0, h=1.0) -> tuple[np.ndarray, ...]:
     """Expand [lo, hi] until H'(lo) <= w <= H'(hi) elementwise.
 
@@ -125,9 +130,8 @@ def _bracket_slope(ham: Hamiltonian, w: np.ndarray, center=0.0, h=1.0) -> tuple[
             lost = need & (off >= reach)
             if lost.any():
                 bad = float(np.asarray(w)[lost].flat[0])
-                raise RuntimeError(
-                    f"Legendre transform failed: slope w={bad:.6g} {side} the range of H'"
-                )
+                raise LegendreError(f"Legendre transform failed: slope w={bad:.6g} {side} "
+                                    "the range of H' within the bracket's reach")
             off = np.where(need, 2.0 * off, off)
             end = np.where(need, center + sign * off, end)
             fend[need] = ham.derivative(end[need])
@@ -145,13 +149,13 @@ def _invert_slope(ham: Hamiltonian, w: np.ndarray, start=None) -> np.ndarray:
     ``p - s - copysign(tol, s)`` confirms a converged ``p - s`` by a sign change
     across a bracket at most ``2 tol`` wide.  Other elements, and Hamiltonians
     without ``second``, go to :func:`_secant_slope` from their own start.  Raises
-    ``RuntimeError`` for a slope that is not finite, outside the range of ``H'``,
+    :class:`LegendreError` for a slope that is not finite, beyond the bracket's reach,
     or not converged.
     """
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):
         bad = float(w[~np.isfinite(w)].flat[0])
-        raise RuntimeError(f"Legendre transform failed: slope w={bad:.6g} is not finite")
+        raise LegendreError(f"Legendre transform failed: slope w={bad:.6g} is not finite")
     shape, w = w.shape, w.ravel()
     start = None if start is None else np.ravel(start)
     if ham.second is None:
@@ -187,8 +191,8 @@ def _secant_slope(ham: Hamiltonian, w: np.ndarray, start=None) -> np.ndarray:
     the bracket, or one after two steps that did not halve it, bisects.  An
     estimate within ``tol = 1e-15 (1 + |p|)`` of the best point is confirmed
     by a point ``tol`` beyond it: an element stops once its bracket is
-    ``2 tol`` wide or it hits a root.  Raises ``RuntimeError`` for a slope
-    outside the range of ``H'`` or not converged in 360 steps.
+    ``2 tol`` wide or it hits a root.  Raises :class:`LegendreError` for a slope
+    beyond the bracket's reach or not converged in 360 steps.
     """
     center, h = (0.0, 1.0) if start is None else (start, 1e-2 * (1.0 + np.abs(start)))
     lo, flo, hi, fhi = _bracket_slope(ham, w, center, h)
@@ -222,7 +226,7 @@ def _secant_slope(ham: Hamiltonian, w: np.ndarray, start=None) -> np.ndarray:
         older, prev = prev, width
         p = np.where(np.abs(est - b) < tol, est + np.copysign(tol, est - b), est)
     bad = float(w[~finished][0])
-    raise RuntimeError(f"Legendre transform failed: slope w={bad:.6g} did not converge")
+    raise LegendreError(f"Legendre transform failed: slope w={bad:.6g} did not converge")
 
 
 def lagrangian_from_hamiltonian(ham: Hamiltonian) -> Lagrangian:
@@ -269,16 +273,14 @@ class PerspectiveL0:
     def _value_and_partials(self, z, y, start=None):
         """``(y L(z/y), p, -H(p))`` at ``y >= 0`` from one slope inversion ``p = L'(z/y)``.
 
-        ``L(w) = p w - H(p)`` (the quadratic model keeps ``w^2 / 2``); nodes with
-        ``y = 0`` take the boundary value and carry ``p`` at ``w = z``.  ``start``
-        guesses ``p`` (:meth:`Lagrangian.derivative`).
+        ``L(w) = p w - H(p)``; nodes with ``y = 0`` take the boundary value and carry
+        ``p`` at ``w = z``.  ``start`` guesses ``p`` (:meth:`Lagrangian.derivative`).
         """
         pos = y > 0
         w = z / np.where(pos, y, 1.0)
         p = self.lagrangian.derivative(w, start)
         minus_h = -self.hamiltonian.eval(p)
-        lw = self.lagrangian.eval(w) if self.hamiltonian.name == "quadratic" else p * w + minus_h
-        vals = np.where(pos, y * lw, 0.0)
+        vals = np.where(pos, y * (p * w + minus_h), 0.0)
         return np.where(pos, vals, np.where(z == 0.0, 0.0, np.inf)), p, minus_h
 
 
@@ -453,8 +455,9 @@ def check_assumptions(model: MFGModel | None, m0: np.ndarray, mT: np.ndarray, x:
     ``"skip"``.  Model checks (skipped for ``model=None``): ``H`` and ``G``
     strictly convex, ``L`` and ``G`` superlinear, ``L'`` inverting ``H'``,
     ``g = G'``, ``H'' = (H')'`` (when given), ``L >= 0`` (when ``H(0) <= 0``), the
-    perspective jointly convex; one whose Legendre transform fails reports ``fail``
-    with the message.  Last, ``m0`` and ``mT`` (at nodes ``x``) must exceed some ``k0 > 0``.
+    perspective jointly convex; one whose Legendre transform fails (:class:`LegendreError`)
+    reports ``fail`` with the message.  Last, ``m0`` and ``mT`` (at nodes ``x``) must
+    exceed some ``k0 > 0``.
     """
     model_checks = {
         "hamiltonian_strictly_convex": lambda: _strictly_convex(model.hamiltonian.eval, rng, "p"),
@@ -476,7 +479,7 @@ def check_assumptions(model: MFGModel | None, m0: np.ndarray, mT: np.ndarray, x:
             continue
         try:
             checks[name] = check()
-        except RuntimeError as exc:  # the Legendre transform found no p with H'(p) = w
+        except LegendreError as exc:
             checks[name] = ("fail", str(exc))
     checks["density_lower_bound"] = _density_lower_bound(m0, mT, x)
     return checks

@@ -52,7 +52,7 @@ from .grid import (
     time_stencil_matrix,
     time_weights,
 )
-from .model import MFGModel, build_model
+from .model import LegendreError, MFGModel, build_model
 
 __all__ = [
     "PlanningSpec",
@@ -229,12 +229,13 @@ def boundary_slices(grid: Grid, m0: np.ndarray, mT: np.ndarray) -> tuple[np.ndar
     return out[0], out[1]
 
 
-def initial_guess(spec: PlanningSpec) -> PotentialPair:
+def initial_guess(spec) -> PotentialPair:
     """Linear-in-time interpolation of the pinned slices, with ``q = 0``.
 
-    Feasible by construction: its density is the same convex combination of
-    the (smoothed) boundary densities, hence bounded below by their common
-    floor up to stencil error.
+    ``spec`` is any instance with ``grid``, ``m0`` and ``mT`` (a :class:`PlanningSpec` or a
+    congestion spec).  Feasible by construction: its density is the same convex
+    combination of the (smoothed) boundary densities, hence bounded below by their
+    common floor up to stencil error.
     """
     g = spec.grid
     s0, sT = boundary_slices(g, spec.m0, spec.mT)
@@ -245,12 +246,16 @@ def initial_guess(spec: PlanningSpec) -> PotentialPair:
 
 def _evaluate(spec: PlanningSpec, pp: PotentialPair, start: Field | None = None):
     """:func:`objective` and the terms ``(z, y, (p, -H(p)))`` of its one slope inversion,
-    started from ``start`` (:meth:`PerspectiveL0._value_and_partials`)."""
+    started from ``start`` (:meth:`PerspectiveL0._value_and_partials`).  A point whose
+    inversion fails (:class:`~mfgplan.model.LegendreError`) is infeasible, as at ``y < 0``."""
     g = spec.grid
     z, y = potential_fields(g, pp, spec.order)
     if np.min(y) < 0.0:
         return np.inf, None
-    l0, p, minus_h = spec.model.perspective._value_and_partials(z, y, start)
+    try:
+        l0, p, minus_h = spec.model.perspective._value_and_partials(z, y, start)
+    except LegendreError:
+        return np.inf, None
     if not np.all(np.isfinite(l0)):
         return np.inf, None
     v = spec.model.potential.sample(g)[None, :]
@@ -333,22 +338,21 @@ def pair_inner(grid: Grid, a: tuple[Field, TimeSeries], b: tuple[Field, TimeSeri
     return float(grid.dx * (w @ np.einsum("ij,ij->i", a[0], b[0])) + w @ (a[1] * b[1]))
 
 
-def clip_to_floor(spec: PlanningSpec, phi: Field, lo: Field | None = None) -> Field | tuple:
-    """Restore the density floor by repairing forward x-increments.
+def clip_to_floor(grid: Grid, floor: float, phi: Field, lo: Field | None = None) -> Field | tuple:
+    """Restore the density floor ``phi_x + 1 >= floor`` by repairing forward x-increments.
 
     Works row by row on the forward increments ``s_j = phi[j+1] - phi[j]``
     (periodic): violating increments are raised to the floor level and the
     surplus is removed from the remaining increments in proportion to their
-    slack, which always succeeds because the slacks sum to ``1 - floor > 0``.
+    slack, which always succeeds for ``floor < 1`` because the slacks sum to ``1 - floor``.
     The row is then rebuilt with zero mean.  Since the central difference is
     the average of two adjacent forward increments, the central-difference
     density inherits the floor.  Pinned rows are never touched (they are
     feasible by construction).  Given the low part ``lo`` of ``phi + lo``, returns
     ``(phi, lo)`` with ``lo`` zeroed on the repaired rows.
     """
-    g = spec.grid
     # tiny padding so the rebuilt row still clears the floor after rounding
-    least = (spec.floor * (1.0 + 1e-6) + 1e-15 - 1.0) * g.dx
+    least = (floor * (1.0 + 1e-6) + 1e-15 - 1.0) * grid.dx
     s = np.roll(phi, -1, axis=1) - phi
     bad = s.min(axis=1) < least
     bad[0] = bad[-1] = False
@@ -367,14 +371,13 @@ def clip_to_floor(spec: PlanningSpec, phi: Field, lo: Field | None = None) -> Fi
     return phi if lo is None else (phi, np.where(bad[:, None], 0.0, lo))
 
 
-def random_feasible_pair(
-    spec: PlanningSpec, rng: np.random.Generator, amplitude: float = 0.3
-) -> PotentialPair:
+def random_feasible_pair(spec, rng: np.random.Generator, amplitude: float = 0.3) -> PotentialPair:
     """A strictly feasible pair: smoothed noise around the initial guess.
 
-    The perturbation is zeroed on the pinned rows, mean-free per slice, and
-    scaled so the density stays at least ``(1 - amplitude)`` times the
-    boundary floor away from zero.
+    ``spec`` is any instance with ``grid``, ``m0``, ``mT`` and ``k0`` (a :class:`PlanningSpec`
+    or a congestion spec).  The perturbation is zeroed on the pinned rows, mean-free per
+    slice, and scaled so the density stays at least ``(1 - amplitude)`` times the
+    boundary floor ``k0`` away from zero.
     """
     g = spec.grid
     base = initial_guess(spec)
@@ -524,7 +527,8 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
     g = spec.grid
     pp = initial_guess(spec) if start is None else start
     phi, q = pp.phi.copy(), pp.q.copy()
-    phi, lo = clip_to_floor(spec, phi, np.zeros_like(phi) if pp.lo is None else pp.lo.copy())
+    lo = np.zeros_like(phi) if pp.lo is None else pp.lo.copy()
+    phi, lo = clip_to_floor(g, spec.floor, phi, lo)
 
     f, terms = _evaluate(spec, PotentialPair(phi, q, lo))
     if not np.isfinite(f):
@@ -563,7 +567,7 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
         alpha = min(1.0, 4.0 * alpha) if descent else 1.0
         accepted = False
         for _ in range(0 if not slope < 0 else 80 if descent else 24):
-            phi_t, lo_t = clip_to_floor(spec, *_two_sum(phi, lo, alpha * dphi_dir))
+            phi_t, lo_t = clip_to_floor(g, spec.floor, *_two_sum(phi, lo, alpha * dphi_dir))
             q_t = q + alpha * dq_dir
             f_t, terms_t = _evaluate(spec, PotentialPair(phi_t, q_t, lo_t), terms[2][0])
             if descent:

@@ -197,7 +197,7 @@ def test_criterion_6_monotonicity_certificate():
     worst_gap = np.inf
     for alpha in (0.25, 0.5, 1.0, 1.5, 1.9):
         spec = sine_congestion(alpha=alpha, mu=max(alpha, 1.0))
-        pview = spec.planning_view(floor=1e-6)
+        pview = spec
         rng = np.random.default_rng(int(alpha * 1000))
         for _ in range(1000):
             a = random_feasible_pair(pview, rng, amplitude=0.3)
@@ -220,7 +220,7 @@ def test_criterion_6_monotonicity_certificate():
 def test_criterion_7_congestion_inner_solvers():
     started = time.perf_counter()
     spec = sine_congestion()
-    pview = spec.planning_view(floor=1e-6)
+    pview = spec
     rng = np.random.default_rng(3)
     eps = 0.05
 

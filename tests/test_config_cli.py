@@ -205,6 +205,20 @@ def test_hughes_branch_mismatch_is_range_violation(tmp_path):
         parse_config(write_config(tmp_path, doc))
 
 
+@pytest.mark.parametrize("mode, block, message", [
+    ("planning", {"floor": 2.0}, "range violation in planning: floor must satisfy "
+                                 "0 <= floor < min density 1.000e+00, got 2.0"),
+    ("congestion", {"alpha": 1.5, "mu": 0.25},
+     "range violation in congestion: need alpha < mu + 1, got 1.5 >= 1.25"),
+])
+def test_spec_range_violation_names_the_mode_block(tmp_path, mode, block, message):
+    doc = {"schema_version": 1, "mode": mode, "grid": {"nt": 9, "nx": 16},
+           mode: {"m0": "uniform", "mT": "uniform", **block}}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(write_config(tmp_path, doc))
+    assert str(exc.value) == message
+
+
 def test_hughes_nan_density_sample_rejected(tmp_path):
     doc = {
         "schema_version": 1,
@@ -643,6 +657,33 @@ def test_validate_every_shipped_config(tmp_path, name):
     assert reports[0] == reports[1]
     names = {entry["name"] for entry in json.loads(reports[0])["assumptions"]}
     assert names == ASSUMPTIONS
+
+
+# the files each mode's run writes
+OUTPUTS = {
+    "planning": {"solution_phi.csv", "solution_q.csv", "solution_u.csv", "solution_m.csv",
+                 "diagnostics.csv", "report.json"},
+    "hughes": {"solution_phi.csv", "solution_m.csv", "solution_ystar.csv", "diagnostics.csv",
+               "report.json"},
+    "validate": {"report.json"},
+}
+OUTPUTS["congestion"] = OUTPUTS["planning"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).resolve().parents[1].glob("configs/*.yaml")),
+                         ids=lambda p: p.stem)
+def test_every_shipped_config_runs(tmp_path, capsys, path):
+    mode = parse_config(path).mode
+    command = "validate" if mode == "validate" else "solve"
+    assert main([command, str(path), "--out", str(tmp_path)]) == 0
+    assert {p.name for p in tmp_path.iterdir()} == OUTPUTS[mode]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert list(report)[:2] == ["mode", "seed"] and report["mode"] == mode
+    printed = capsys.readouterr().out
+    if mode != "validate":
+        assert report["converged"] is True
+        assert printed.startswith(f"{mode}: ") and printed.count("\n") == 1
+        assert "NOT converged" not in printed
 
 
 def test_validation_rejects_hughes_config(tmp_path):

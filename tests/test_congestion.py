@@ -144,7 +144,7 @@ def test_apply_F_matches_scalar_loop_path():
     g = spec.grid
     nt, nx, dt, dx = g.nt, g.nx, g.dt, g.dx
     rng = np.random.default_rng(11)
-    pp = random_feasible_pair(spec.planning_view(floor=1e-6), rng, amplitude=0.2)
+    pp = random_feasible_pair(spec, rng, amplitude=0.2)
     phi, q = pp.phi, pp.q
 
     def z_at(i, j):
@@ -186,14 +186,14 @@ def test_apply_F_matches_scalar_loop_path():
 def test_monotonicity_gap_vanishes_on_equal_pairs():
     spec = sine_spec()
     rng = np.random.default_rng(0)
-    a = random_feasible_pair(spec.planning_view(floor=1e-6), rng, amplitude=0.3)
+    a = random_feasible_pair(spec, rng, amplitude=0.3)
     assert monotonicity_gap(spec, a, a) == 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 1.9])
 def test_monotonicity_gap_nonnegative(alpha):
     spec = sine_spec(alpha=alpha, mu=alpha)
-    pview = spec.planning_view(floor=1e-6)
+    pview = spec
     rng = np.random.default_rng(int(alpha * 100))
     for _ in range(40):
         a = random_feasible_pair(pview, rng, amplitude=0.3)
@@ -234,7 +234,7 @@ def test_inner_q_constant_forcing_has_analytic_solution():
 def test_q_solve_guards_the_tridiagonal_residual(monkeypatch):
     spec = sine_spec()
     eps = 0.01
-    pp = PotentialPair(initial_guess(spec.planning_view(floor=eps)).phi, np.zeros(spec.grid.nt))
+    pp = PotentialPair(initial_guess(spec).phi, np.zeros(spec.grid.nt))
     inner_q_solve(spec, eps, pp)  # the exact banded solve passes the guard
     solve = congestion.solveh_banded
     monkeypatch.setattr(congestion, "solveh_banded", lambda *a, **kw: solve(*a, **kw) + 1.0)
@@ -246,7 +246,7 @@ def test_inner_q_solution_satisfies_assembled_system():
     spec = sine_spec()
     g = spec.grid
     rng = np.random.default_rng(2)
-    pp0 = random_feasible_pair(spec.planning_view(floor=1e-6), rng, amplitude=0.25)
+    pp0 = random_feasible_pair(spec, rng, amplitude=0.25)
     eps = 3e-3
     qbar = inner_q_solve(spec, eps, pp0)
 
@@ -274,10 +274,10 @@ def test_inner_phi_trivial_quadratic_returns_zero():
 def test_inner_phi_descends_below_interpolant():
     spec = sine_spec(alpha=0.5, mu=1.0)
     eps = 0.01
-    pp0 = PotentialPair(initial_guess(spec.planning_view(floor=eps)).phi, np.zeros(spec.grid.nt))
+    pp0 = PotentialPair(initial_guess(spec).phi, np.zeros(spec.grid.nt))
     f1 = apply_F(spec, pp0, eps=eps).f1
     phi_star = inner_phi_solve(spec, eps, pp0)
-    interp = initial_guess(spec.planning_view(floor=eps)).phi
+    interp = initial_guess(spec).phi
     assert inner_phi_objective(spec, eps, f1, phi_star) <= inner_phi_objective(
         spec, eps, f1, interp
     )
@@ -335,7 +335,7 @@ def test_inner_phi_solves_projected_system(nt, nx):
     spec = CongestionSpec(grid=g, m0=sine_density(nx, amplitude=1e-3))
     eps = 0.1
     rng = np.random.default_rng(nx)
-    phi0 = initial_guess(spec.planning_view(floor=eps)).phi
+    phi0 = initial_guess(spec).phi
     phi0 += 1e-5 * project_tangent(g, rng.standard_normal((nt, nx)))
     pp0 = PotentialPair(phi0, 1e-5 * rng.standard_normal(nt))
     f1 = apply_F(spec, pp0, eps=eps).f1
@@ -355,7 +355,7 @@ def test_inner_phi_solves_projected_system(nt, nx):
 def test_inner_phi_rejects_infeasible_base_point():
     spec = sine_spec()
     g = spec.grid
-    pp0 = PotentialPair(initial_guess(spec.planning_view(floor=1e-6)).phi, np.zeros(g.nt))
+    pp0 = PotentialPair(initial_guess(spec).phi, np.zeros(g.nt))
     with pytest.raises(ValueError, match="below the feasible level"):
         inner_phi_solve(spec, 0.95, pp0)  # eps above the instance's density dip
 
@@ -430,7 +430,7 @@ def test_inner_solves_are_the_halves_of_one_sweep():
     g = spec.grid
     eps = spec.eps
     rng = np.random.default_rng(11)
-    pp0 = random_feasible_pair(spec.planning_view(floor=eps), rng, amplitude=0.25)
+    pp0 = random_feasible_pair(spec, rng, amplitude=0.25)
     lvl = _level(spec, eps)
     phi, q = congestion._sweep(spec, lvl, pp0)
     assert np.max(np.abs(q)) > 0 and not np.array_equal(phi, lvl.interp)
@@ -540,7 +540,7 @@ def test_fine_sine_rung_converges_at_every_level():
 def test_newton_polish_reports_bad_trial_errors(monkeypatch, exc):
     spec = sine_spec()
     eps = 0.01
-    pp = PotentialPair(initial_guess(spec.planning_view(floor=eps)).phi, np.zeros(spec.grid.nt))
+    pp = PotentialPair(initial_guess(spec).phi, np.zeros(spec.grid.nt))
 
     def failing_root(*args, **kwargs):
         raise exc
@@ -555,7 +555,7 @@ def test_newton_polish_reports_bad_trial_errors(monkeypatch, exc):
 def test_newton_polish_propagates_unexpected_errors(monkeypatch):
     spec = sine_spec()
     eps = 0.01
-    pp = PotentialPair(initial_guess(spec.planning_view(floor=eps)).phi, np.zeros(spec.grid.nt))
+    pp = PotentialPair(initial_guess(spec).phi, np.zeros(spec.grid.nt))
 
     def broken_root(*args, **kwargs):
         raise KeyError("programming error")

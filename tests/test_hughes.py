@@ -387,6 +387,16 @@ def test_window_mass_controlled_by_boundary_flux():
         assert abs(mt - m0) <= 2.0 * t * flux_cap + 1e-12
 
 
+def test_linear_lagrangians_match_numeric_envelope():
+    law = LinearSpeed()
+    ps = np.linspace(-5.0, 5.0, 400001)
+    for w in (-2.5, -0.3, 0.0, 1.0, 2.5):
+        numeric = np.max(ps * w + ps * (1.0 - ps))  # convex branch: H(p) = -p f(p)
+        assert abs(numeric - float(law.lagrangian_min(w))) < 1e-9
+        numeric = np.min(ps * w - ps * (1.0 - ps))  # concave branch: H(p) = p f(p)
+        assert abs(numeric - float(-law.lagrangian_min(-w))) < 1e-9
+
+
 def test_congestion_lagrangians_match_numeric_envelope():
     law = CongestionSpeed(k1=0.8, k2=1.3, beta=0.3)
     c, b = law.scale, law.beta
@@ -396,9 +406,9 @@ def test_congestion_lagrangians_match_numeric_envelope():
         assert abs(numeric - float(law.lagrangian_min(w))) < 1e-6
     for w in (0.3, 1.0, 2.5):
         numeric = np.min(ps * w - c * ps ** (1.0 - b))
-        assert abs(numeric - float(law.lagrangian_max(w))) < 1e-6
+        assert abs(numeric - float(-law.lagrangian_min(-w))) < 1e-6
     assert np.isinf(float(law.lagrangian_min(0.5)))
-    assert np.isneginf(float(law.lagrangian_max(-0.5)))
+    assert np.isneginf(float(-law.lagrangian_min(0.5)))
 
 
 def test_congestion_constant_density_stays_constant():

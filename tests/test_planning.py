@@ -191,7 +191,7 @@ def test_clip_to_floor_repairs_violations():
     g = spec.grid
     phi = initial_guess(spec).phi
     phi[2] += 2.0 * np.sin(2 * np.pi * g.x)  # drives density negative mid-row
-    clipped = clip_to_floor(spec, phi)
+    clipped = clip_to_floor(g, spec.floor, phi)
     dens = dx_periodic(g, clipped) + 1.0
     assert np.min(dens[1:-1]) >= spec.floor
     assert np.max(np.abs(clipped.mean(axis=1))) < 1e-13
@@ -211,12 +211,12 @@ def test_clip_to_floor_zeroes_the_low_part_on_repaired_rows():
     step[2] = 2.0 * np.sin(2 * np.pi * g.x)  # drives density negative mid-row
     step[1] = 1e-3 * np.cos(2 * np.pi * g.x)  # a feasible step on another row
     hi_t, lo_t = _two_sum(phi, lo, step)
-    clipped, lo_c = clip_to_floor(spec, hi_t, lo_t)
+    clipped, lo_c = clip_to_floor(g, spec.floor, hi_t, lo_t)
     repaired = np.any(clipped != hi_t, axis=1)
     assert repaired.tolist() == [False, False, True, False, False]
     assert np.all(lo_c[2] == 0.0) and np.any(lo_t[2] != 0.0)
     assert np.array_equal(lo_c[~repaired], lo_t[~repaired])
-    assert np.array_equal(clipped, clip_to_floor(spec, hi_t))
+    assert np.array_equal(clipped, clip_to_floor(g, spec.floor, hi_t))
 
 
 def test_two_sum_step_is_exact():
@@ -443,6 +443,27 @@ def _power_instance(nt: int, nx: int, order: int = 1) -> PlanningSpec:
     return PlanningSpec(grid=g, model=_model("power"), m0=1.0 + wave, mT=1.0 - wave, order=order)
 
 
+def _steep_power_instance(alpha: float, max_iters: int = 20000) -> PlanningSpec:
+    # the first full step asks for slopes w of 4.6e3 to 5.0e8, beyond the inversion's
+    # bracket for alpha <= 1.3: that trial point must count as infeasible
+    g = Grid(nt=33, nx=32, horizon=1.0)
+    return PlanningSpec(grid=g, model=build_model(power_hamiltonian(alpha), power_coupling(2.0)),
+                        m0=1.0 + 0.5 * np.sin(2 * np.pi * g.x),
+                        mT=1.0 + 0.5 * np.cos(2 * np.pi * g.x), order=1, max_iters=max_iters)
+
+
+def test_trial_point_with_failed_slope_inversion_is_rejected():
+    report = minimize(_steep_power_instance(1.3))
+    assert report.converged and report.grad_norm <= 1e-8
+    assert np.all(np.diff(report.objective_trace) <= 0)
+
+
+def test_power_instance_beyond_the_slope_bracket_returns_a_report():
+    report = minimize(_steep_power_instance(1.1, max_iters=50))
+    assert not report.converged and report.iterations == 50
+    assert report.diagnostics["exit_reason"] == "max_iters"
+
+
 def _counting_power_model(evaluations: list):
     """The power model of :func:`_model` with every ``H'`` call recorded."""
     ham = power_hamiltonian(1.5)
@@ -578,8 +599,8 @@ def test_curvature_pair_holds_the_step_taken_on_repaired_rows(monkeypatch):
                                 planning_module._two_loop)
     directions, points, newest = [], [], []
 
-    def repairing(spec, phi, lo=None):  # in the second iteration, row 3 comes back shrunk
-        phi, lo = (a.copy() for a in clip(spec, phi, lo))
+    def repairing(grid, floor, phi, lo=None):  # in the second iteration, row 3 comes back shrunk
+        phi, lo = (a.copy() for a in clip(grid, floor, phi, lo))
         if len(directions) == 2:
             phi[3] *= 0.999
             lo[3] = 0.0

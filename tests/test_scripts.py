@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts at tiny sizes: each must exit 0."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -57,3 +58,16 @@ def test_hughes_fronts_writes_profiles(tmp_path):
             if "eikonal sup=" in line]
     assert len(sups) == 16
     assert all(math.isfinite(float(s)) for s in sups)
+
+
+def test_output_digest_repeats_exactly():
+    runs = [run_script("output_digest.py", "--perfbench-seed", "3", "--size", "tiny")
+            for _ in range(2)]
+    assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    digests, names = zip(*(line.split() for line in runs[0].stdout.splitlines()))
+    # the shipped configs and the generated instances all exit 0; queries are hashed too
+    assert {name.split("/")[0] for name in names} == {"configs", "perfbench"}
+    assert any("/query_" in name for name in names)
+    exits = {d for d, name in zip(digests, names) if name.endswith("/exit_code")}
+    assert exits == {hashlib.sha256(b"0").hexdigest()}
