@@ -2,8 +2,9 @@
 
 For each alpha, runs the regularized fixed point on the sin-perturbed
 instance at the default single level and reports its sweep count, the
-Newton-Krylov residual evaluations, the final residual, the weak-solution
-pairing minimum over random test pairs, and the a-priori integral bounds.
+Newton-Krylov residual evaluations and GMRES iterations, the final
+residual, the weak-solution pairing minimum over random test pairs, and the
+a-priori integral bounds.
 
     python3 scripts/congestion_sweep.py [--alphas 0.5 1.0 1.5] [--nx 24 --nt 13]
 """
@@ -37,11 +38,12 @@ def main():
         iters = "/".join(str(lv["iterations"]) for lv in levels)
         newton = sum(lv["used_newton"] for lv in levels)
         evals = sum(lv["newton_residual_evals"] for lv in levels)
+        krylov = sum(lv["krylov_iters"] or 0 for lv in levels)
         print(f"alpha={alpha:4.2f}  converged={rep.converged}  "
               f"fp_residual={d['fp_residual_sup']:.2e}  "
               f"min_density={d['min_density']:.4f}  "
               f"iters_per_level={iters}  newton_levels={newton}  "
-              f"residual_evals={evals}")
+              f"residual_evals={evals}  krylov_iters={krylov}")
 
         final = levels[-1]
         print(f"            apriori: mu_energy={final['mu_energy']:.4f}  "

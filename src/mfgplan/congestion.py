@@ -42,12 +42,10 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import import_module
 
 import numpy as np
 from scipy.linalg import solveh_banded
-from scipy.optimize import root
-from scipy.sparse.linalg import LinearOperator
-from scipy.sparse.linalg import cg  # noqa: F401  (perfbench/tracing.py spans congestion.cg by name)
 
 from .grid import (
     Field,
@@ -91,6 +89,15 @@ __all__ = [
     "apriori_diagnostics",
     "young_sup",
 ]
+
+
+def __getattr__(name: str):
+    # the benchmark's pin: perfbench/tracing.py spans congestion.root and .cg by name.  Unused
+    # here, they resolve on first look-up (PEP 562): start-up imports no scipy.optimize or .sparse
+    if name not in ("root", "cg"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = "scipy.optimize" if name == "root" else "scipy.sparse.linalg"
+    return getattr(import_module(module), name)
 
 
 @dataclass(frozen=True)
@@ -434,6 +441,59 @@ def apriori_diagnostics(spec: CongestionSpec, eps: float, pp: PotentialPair,
 # driver
 
 
+def _gmres(matvec, b, precondition, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
+    """GMRES from 0 for ``matvec(x) = b != 0``, right-preconditioned (Saad & Schultz 1986).
+
+    Arnoldi with modified Gram-Schmidt and a Hessenberg least-squares solve, until
+    ``|b - matvec(x)| <= rtol |b|``, breakdown or ``maxiter`` steps; returns ``(x, iterations)``."""
+    beta = np.linalg.norm(b)
+    basis, steps, hess = [b / beta], [], np.zeros((maxiter + 1, maxiter))
+    for j in range(maxiter):
+        steps.append(precondition(basis[j]))
+        w = matvec(steps[j])
+        for i, v in enumerate(basis):
+            hess[i, j] = v @ w
+            w = w - hess[i, j] * v
+        hess[j + 1, j] = np.linalg.norm(w)
+        h, r = hess[: j + 2, : j + 1], np.append(beta, np.zeros(j + 1))
+        y = np.linalg.lstsq(h, r, rcond=None)[0]
+        if hess[j + 1, j] == 0.0 or np.linalg.norm(r - h @ y) <= rtol * beta:
+            break
+        basis.append(w / hess[j + 1, j])
+    return np.array(steps).T @ y, j + 1
+
+
+def _newton_krylov(fun: Callable, x: np.ndarray, precondition: Callable, ftol: float,
+                   maxiter: int = 200, inner_maxiter: int = 40) -> tuple[np.ndarray, str, int, int]:
+    """Inexact Newton for ``fun(x) = 0`` until ``max|fun(x)| <= ftol``: Kelley's ``nsoli``.
+
+    As in Kelley, *Solving Nonlinear Equations with Newton's Method* (SIAM 2003, ch. 3),
+    :func:`_gmres` on forward differences ``J v`` (steps ``sqrt(u) max(1, |x|)`` long) solves
+    ``J d = -f`` to the Eisenstat-Walker forcing tolerance (SIAM J. Sci. Comput. 17, 1996);
+    Armijo backtracking on ``|f|`` takes the step.  Returns ``(x, status, nit, krylov_iters)``,
+    ``status`` ``"converged"``, ``"max_iters"`` or ``"line_search_failure"``."""
+    f = fun(x)
+    fnorm, eta, nit, krylov_iters = np.linalg.norm(f), 0.1, 0, 0
+    while np.max(np.abs(f)) > ftol and nit < maxiter:
+        h = np.sqrt(np.finfo(float).eps) * max(1.0, float(np.max(np.abs(x))))
+        d, k = _gmres(lambda v: (fun(x + h / np.linalg.norm(v) * v) - f) * np.linalg.norm(v) / h,
+                      -f, precondition, eta, inner_maxiter)
+        krylov_iters += k
+        for lam in 0.5 ** np.arange(20):
+            trial = x + lam * d
+            f_trial = fun(trial)
+            if np.linalg.norm(f_trial) <= (1.0 - 1e-4 * lam) * fnorm:
+                break
+        else:
+            return x, "line_search_failure", nit, krylov_iters
+        trial_norm = np.linalg.norm(f_trial)
+        ratio, x, f, fnorm, nit = trial_norm / fnorm, trial, f_trial, trial_norm, nit + 1
+        # Eisenstat-Walker choice 2, gamma 0.9 and eta_max 0.1 (so its gamma eta^2 > 0.1
+        # safeguard never applies), no tighter than reaching ftol needs (Kelley's safeguard)
+        eta = min(0.1, max(0.9 * ratio**2, 0.5 * ftol / np.max(np.abs(f))))
+    return x, "converged" if np.max(np.abs(f)) <= ftol else "max_iters", nit, krylov_iters
+
+
 def _newton_polish(
     spec: CongestionSpec, lvl: _Level, pp: PotentialPair, counts: dict
 ) -> tuple[PotentialPair, str]:
@@ -446,25 +506,20 @@ def _newton_polish(
 
     with phi = lift + P psi parametrized over the unconstrained field psi
     (P the tangent projection, lift the pinned rows), provided the density
-    floor is inactive at the solution.  Each Krylov evaluation is one
-    operator application.  The inner Krylov solves are preconditioned by
-    ``lvl.precondition`` (physics-based, Knoll & Keyes 2004): this system's
-    Jacobian at the uniform state ``y = 1, z = 0`` without its phi-q coupling,
-    ``eps (W + dtdx R) + dx (M_t' W_t M_t + mu s_k^2 W_t)`` per x-mode and
-    ``eps (M + K) + M``, built by :func:`_level` and the first factored there
-    once.  Trial points may dip below the floor, so the power fields are
-    evaluated with their bases floored at eps.  Returns the candidate and a
-    status (``"converged"``, scipy's message, or the error a bad trial point
-    raised or why a non-finite result was discarded, ``pp`` then being
-    returned).  ``counts`` receives ``newton_nit`` (``None`` if the solve
-    raised), ``newton_residual_evals`` and ``newton_floored_nodes``, the
-    trial nodes whose density was floored.  The caller re-verifies with a sweep.
-    """
+    floor is inactive at the solution.  :func:`_newton_krylov` solves it, preconditioned by
+    ``lvl.precondition`` (physics-based, Knoll & Keyes 2004, see :func:`_level`).  Trial
+    points may dip below the floor, so the power fields are evaluated with their bases
+    floored at eps.  Returns the candidate and a status: the solver's, or the error a bad
+    trial point raised or why a non-finite result was discarded, ``pp`` then being
+    returned.  ``counts`` receives ``newton_nit`` and ``krylov_iters`` (``None`` if the
+    solve raised), ``newton_residual_evals`` and ``newton_floored_nodes``, the trial nodes
+    whose density was floored.  The caller re-verifies with a sweep."""
     g, eps = spec.grid, lvl.eps
     n_phi = g.nt * g.nx
     w = st_weights(g)
     scale = g.dt * g.dx
-    counts.update(newton_nit=None, newton_residual_evals=0, newton_floored_nodes=0)
+    counts.update(newton_nit=None, krylov_iters=None, newton_residual_evals=0,
+                  newton_floored_nodes=0)
 
     def unpack(v: np.ndarray) -> PotentialPair:
         phi = lvl.lift + project_tangent(g, v[:n_phi].reshape(g.nt, g.nx))
@@ -482,28 +537,20 @@ def _newton_polish(
         return np.concatenate([r_phi.ravel(), r_q])
 
     x0 = np.concatenate([project_tangent(g, pp.phi).ravel(), pp.q])
-    inner_m = LinearOperator((x0.size, x0.size), matvec=lvl.precondition, dtype=float)
+    # a sweep maps a residual r to a fixed-point defect near 0.4 max|r| / eps: eps tol_fp / 100
+    # keeps Newton's share under 1% of tol_fp.  r rounds at 0.05-0.26 u / (dt dx), up to 193x384
+    ftol = max(eps * spec.tol_fp / 100, np.finfo(float).eps / scale)
     try:
-        sol = root(
-            residual,
-            x0,
-            method="krylov",
-            options={
-                "fatol": 1e-10,
-                "maxiter": 200,
-                "disp": False,
-                "jac_options": {"inner_maxiter": 40, "inner_M": inner_m},
-            },
-        )
+        x, status, nit, krylov_iters = _newton_krylov(residual, x0, lvl.precondition, ftol)
     except (ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
         return pp, f"{type(exc).__name__}: {exc}"
-    counts["newton_nit"] = getattr(sol, "nit", None)
-    if not np.all(np.isfinite(sol.x)):
-        return pp, f"non-finite result discarded: {sol.message}"
-    cand = unpack(sol.x)
+    counts.update(newton_nit=nit, krylov_iters=krylov_iters)
+    if not np.all(np.isfinite(x)):
+        return pp, f"non-finite result discarded: {status}"
+    cand = unpack(x)
     if np.min(dx_periodic(g, cand.phi) + 1.0) < eps:
         cand = PotentialPair(clip_to_floor(g, eps, cand.phi), cand.q)
-    return cand, "converged" if sol.success else str(sol.message)
+    return cand, status
 
 
 def recover_congestion(spec: CongestionSpec, pp: PotentialPair) -> MFGSolution:
@@ -568,7 +615,8 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
     resid = _sweep_residual(spec, lvl, pp)
     trace = [resid]
     newton_status = None
-    counts = {"newton_nit": None, "newton_residual_evals": 0, "newton_floored_nodes": 0}
+    counts = {"newton_nit": None, "krylov_iters": None, "newton_residual_evals": 0,
+              "newton_floored_nodes": 0}
     if resid > spec.tol_fp:
         cand, newton_status = _newton_polish(spec, lvl, pp, counts)
         trace.append(_sweep_residual(spec, lvl, cand))

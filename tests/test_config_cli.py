@@ -294,6 +294,22 @@ def test_nonfinite_density_sample_rejected(tmp_path, mode, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value, message", [
+    (True, "schema violation at planning.m0.values[5]: expected a number, got True"),
+    ("abc", "schema violation at planning.m0.values[5]: expected a number, got 'abc'"),
+    (float("nan"), "range violation at planning.m0.values[5]: nan is not a finite number"),
+    (float("inf"), "range violation at planning.m0.values[5]: inf is not a finite number"),
+])
+def test_density_samples_name_their_first_bad_value(tmp_path, value, message):
+    # the same message as checking each value through _number in order
+    values = [1.0] * 16
+    values[5], values[9] = value, "later"
+    doc = planning_doc(planning={"m0": {"type": "samples", "values": values}, "mT": "uniform"})
+    with pytest.raises(ConfigError) as info:
+        parse_config(write_config(tmp_path, doc))
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_nonfinite_number_is_range_violation(tmp_path, value):
     doc = planning_doc()
@@ -471,6 +487,7 @@ def test_congestion_report_counts_newton_work_per_level(tmp_path):
     for level in levels:
         if level["used_newton"]:
             assert level["newton_nit"] > 0 and level["newton_residual_evals"] > 0
+            assert level["krylov_iters"] > 0
         else:
             assert level["newton_nit"] is None and level["newton_residual_evals"] == 0
 

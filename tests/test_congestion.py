@@ -1,7 +1,5 @@
 """Congestion operator, inner solvers, fixed-point driver, certificates."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,9 @@ from hypothesis import strategies as st
 import mfgplan.congestion as congestion
 from mfgplan.congestion import (
     CongestionSpec,
+    _gmres,
     _level,
+    _newton_krylov,
     _newton_polish,
     apply_F,
     apriori_diagnostics,
@@ -497,13 +497,12 @@ def test_preconditioned_solve_matches_unpreconditioned_with_fewer_evaluations(
     monkeypatch, sine_report
 ):
     spec, report = sine_report
-    plain_root = congestion.root
+    plain_solve = congestion._newton_krylov
 
-    def unpreconditioned(fun, x0, **kwargs):
-        kwargs["options"]["jac_options"].pop("inner_M")
-        return plain_root(fun, x0, **kwargs)
+    def unpreconditioned(fun, x0, precondition, ftol):
+        return plain_solve(fun, x0, lambda v: v, ftol)
 
-    monkeypatch.setattr(congestion, "root", unpreconditioned)
+    monkeypatch.setattr(congestion, "_newton_krylov", unpreconditioned)
     plain = solve_congestion(spec)
     assert plain.converged
     assert np.max(np.abs(report.pair.phi - plain.pair.phi)) <= 10 * spec.tol_fp
@@ -515,17 +514,66 @@ def test_preconditioned_solve_matches_unpreconditioned_with_fewer_evaluations(
     assert evals(report) < evals(plain)
 
 
+@pytest.mark.parametrize("preconditioned", [False, True])
+@pytest.mark.parametrize("rtol", [0.5, 1e-3, 1e-10])
+def test_gmres_meets_its_forcing_tolerance(preconditioned, rtol):
+    rng = np.random.default_rng(8)
+    n = 12
+    a = 3.0 * np.eye(n) + rng.standard_normal((n, n))  # nonsymmetric
+    b = rng.standard_normal(n)
+    approx = np.linalg.inv(a + 0.3 * rng.standard_normal((n, n)))
+    precondition = (lambda v: approx @ v) if preconditioned else (lambda v: v)
+    x, k = _gmres(lambda v: a @ v, b, precondition, rtol, n)
+    assert type(k) is int and 1 <= k <= n
+    assert np.linalg.norm(b - a @ x) <= (rtol + 1e-12) * np.linalg.norm(b)
+
+
+def _broyden_tridiagonal(x):
+    """Kelley's test residual ``(3 - 2 x_i) x_i - x_(i-1) - 2 x_(i+1) + 1`` with zero ends."""
+    padded = np.concatenate([[0.0], x, [0.0]])
+    return (3.0 - 2.0 * x) * x - padded[:-2] - 2.0 * padded[2:] + 1.0
+
+
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_newton_krylov_converges_on_a_small_nonlinear_system(preconditioned):
+    x0 = -np.ones(10)
+    jac0 = np.diag(3.0 - 4.0 * x0) - np.eye(10, k=-1) - 2.0 * np.eye(10, k=1)
+    inv0 = np.linalg.inv(jac0)
+    precondition = (lambda v: inv0 @ v) if preconditioned else (lambda v: v)
+    x, status, nit, krylov_iters = _newton_krylov(_broyden_tridiagonal, x0, precondition, 1e-12)
+    assert status == "converged" and np.max(np.abs(_broyden_tridiagonal(x))) <= 1e-12
+    assert type(nit) is int and type(krylov_iters) is int and 0 < nit <= krylov_iters
+
+
+def test_newton_krylov_step_cap_reports_max_iters():
+    x0 = -np.ones(10)
+    x, status, nit, krylov_iters = _newton_krylov(_broyden_tridiagonal, x0, lambda v: v, 1e-12,
+                                                  maxiter=1)
+    assert status == "max_iters" and nit == 1 and type(krylov_iters) is int
+    assert np.max(np.abs(_broyden_tridiagonal(x))) < np.max(np.abs(_broyden_tridiagonal(x0)))
+
+
+def test_newton_krylov_without_descent_reports_line_search_failure():
+    # x^2 + 1 has no root and a flat Jacobian at 0: no step decreases |f|
+    x0 = np.zeros(3)
+    x, status, nit, krylov_iters = _newton_krylov(lambda x: x * x + 1.0, x0, lambda v: v, 1e-12)
+    assert status == "line_search_failure" and nit == 0 and type(krylov_iters) is int
+    assert np.array_equal(x, x0)
+
+
 def test_newton_counters_per_level(sine_report):
     _, report = sine_report
     levels = report.diagnostics["per_eps"]
     assert all(level["used_newton"] for level in levels)
     for level in levels:
-        for key in ("newton_nit", "newton_residual_evals"):
+        for key in ("newton_nit", "krylov_iters", "newton_residual_evals"):
             assert type(level[key]) is int and level[key] > 0, key
+        assert level["newton_status"] == "converged"
     g = Grid(nt=13, nx=16, horizon=1.0)
     for level in solve_congestion(CongestionSpec(grid=g)).diagnostics["per_eps"]:
         assert not level["used_newton"]
-        assert level["newton_nit"] is None and level["newton_residual_evals"] == 0
+        assert level["newton_nit"] is None and level["krylov_iters"] is None
+        assert level["newton_residual_evals"] == 0
 
 
 def test_fine_sine_rung_converges_at_every_level():
@@ -542,13 +590,14 @@ def test_newton_polish_reports_bad_trial_errors(monkeypatch, exc):
     eps = 0.01
     pp = PotentialPair(initial_guess(spec).phi, np.zeros(spec.grid.nt))
 
-    def failing_root(*args, **kwargs):
+    def failing_solve(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(congestion, "root", failing_root)
+    monkeypatch.setattr(congestion, "_newton_krylov", failing_solve)
     counts = {}
     cand, status = _newton_polish(spec, _level(spec, eps), pp, counts)
     assert cand is pp and counts["newton_floored_nodes"] == 0 and counts["newton_nit"] is None
+    assert counts["krylov_iters"] is None
     assert status == f"{type(exc).__name__}: {exc}"
 
 
@@ -557,10 +606,10 @@ def test_newton_polish_propagates_unexpected_errors(monkeypatch):
     eps = 0.01
     pp = PotentialPair(initial_guess(spec).phi, np.zeros(spec.grid.nt))
 
-    def broken_root(*args, **kwargs):
+    def broken_solve(*args, **kwargs):
         raise KeyError("programming error")
 
-    monkeypatch.setattr(congestion, "root", broken_root)
+    monkeypatch.setattr(congestion, "_newton_krylov", broken_solve)
     with pytest.raises(KeyError):
         _newton_polish(spec, _level(spec, eps), pp, {})
 
@@ -568,17 +617,16 @@ def test_newton_polish_propagates_unexpected_errors(monkeypatch):
 def test_failed_newton_candidate_is_rejected(monkeypatch):
     # a far-off, unconverged Newton-Krylov result must never replace the
     # level start: every level keeps the residual of its first sweep
-    def far_root(fun, x0, **kwargs):
-        x = x0 + 0.3 * np.cos(np.arange(x0.size))
-        return SimpleNamespace(x=x, success=False, message="patched: far off")
+    def far_solve(fun, x0, precondition, ftol):
+        return x0 + 0.3 * np.cos(np.arange(x0.size)), "max_iters", 200, 400
 
-    monkeypatch.setattr(congestion, "root", far_root)
+    monkeypatch.setattr(congestion, "_newton_krylov", far_solve)
     report = solve_congestion(sine_spec())
     assert not report.converged
     levels = report.diagnostics["per_eps"]
     assert report.iterations == 2 * len(levels)
     for i, level in enumerate(levels):
-        assert level["newton_status"] == "patched: far off"
+        assert level["newton_status"] == "max_iters"
         assert level["iterations"] == 2
         assert level["fp_residual"] == report.objective_trace[2 * i]
         assert report.objective_trace[2 * i + 1] > level["fp_residual"]
@@ -587,16 +635,16 @@ def test_failed_newton_candidate_is_rejected(monkeypatch):
 def test_nan_newton_candidate_is_rejected(monkeypatch):
     # an all-NaN Newton-Krylov result is discarded inside the polish, so the
     # verifying sweep sees the level start and the solve runs to the end
-    def nan_root(fun, x0, **kwargs):
-        return SimpleNamespace(x=np.full_like(x0, np.nan), success=False, message="patched: nan")
+    def nan_solve(fun, x0, precondition, ftol):
+        return np.full_like(x0, np.nan), "line_search_failure", 1, 2
 
-    monkeypatch.setattr(congestion, "root", nan_root)
+    monkeypatch.setattr(congestion, "_newton_krylov", nan_solve)
     report = solve_congestion(sine_spec())
     levels = report.diagnostics["per_eps"]
     assert report.iterations == 2 * len(levels)
     assert np.all(np.isfinite(report.objective_trace))
     for i, level in enumerate(levels):
-        assert level["newton_status"] == "non-finite result discarded: patched: nan"
+        assert level["newton_status"] == "non-finite result discarded: line_search_failure"
         assert level["fp_residual"] == report.objective_trace[2 * i]
         assert report.objective_trace[2 * i + 1] == level["fp_residual"]
 

@@ -55,9 +55,6 @@ class UnderestimatingLaw:
     def lagrangian_min(self, w):
         return (np.asarray(w, dtype=float) + 1.0) ** 2 / 4.0
 
-    def lagrangian_max(self, w):
-        return -((1.0 - np.asarray(w, dtype=float)) ** 2) / 4.0
-
     def check_density(self, rho0):
         pass
 

@@ -6,6 +6,7 @@ caller outside the module).
 """
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -49,9 +50,21 @@ def test_unused_import_is_found():
     assert unused_imports(source + "__all__ = ['dumps']\nos.sep\n") == ["loads"]
 
 
-def test_scipy_integrate_stays_out_of_the_import_graph():
+@functools.cache
+def _modules_after_fresh_import() -> frozenset[str]:
+    """``sys.modules`` of a fresh interpreter after importing every entry module."""
     code = ("import sys, mfgplan.cli, mfgplan.hughes, mfgplan.congestion; "
-            "print('scipy.integrate' in sys.modules)")
+            "print(' '.join(sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(_PACKAGE.parent)}).stdout
-    assert out.strip() == "False"
+    return frozenset(out.split())
+
+
+def test_scipy_integrate_stays_out_of_the_import_graph():
+    assert "scipy.integrate" not in _modules_after_fresh_import()
+
+
+def test_scipy_optimize_and_sparse_stay_out_of_the_import_graph():
+    loaded = _modules_after_fresh_import()
+    assert "scipy.linalg" in loaded
+    assert sorted(m for m in loaded if m.startswith(("scipy.optimize", "scipy.sparse"))) == []

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mfgplan
 from mfgplan.congestion import CongestionSpec, solve_congestion
 from mfgplan.grid import Grid
 from mfgplan.planning import PlanningSpec, minimize
@@ -27,6 +28,27 @@ _SPEC.loader.exec_module(tracing)
 @pytest.mark.parametrize("module, attr", sorted({*tracing.SPANNED, *tracing.COUNTED}))
 def test_traced_function_resolves(module, attr):
     assert callable(getattr(importlib.import_module(f"mfgplan.{module}"), attr))
+
+
+def test_tracer_installs_and_uninstalls_on_the_package():
+    # install looks every name up on the real package, the lazily resolved
+    # congestion.root and congestion.cg included; uninstall restores every binding
+    names = sorted({m for m, _ in tracing.SPANNED} | {m for m, *_ in tracing.SPANNED_METHODS})
+    modules = [importlib.import_module(f"mfgplan.{m}") for m in names]
+    classes = [(getattr(mfgplan, m), cls, attr) for m, cls, attr in tracing.SPANNED_METHODS]
+    before = [dict(vars(module)) for module in modules]
+    methods_before = [vars(getattr(module, cls))[attr] for module, cls, attr in classes]
+    solve = mfgplan.congestion.solve_congestion
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(mfgplan)
+        assert mfgplan.congestion.solve_congestion is not solve
+    finally:
+        tracer.uninstall()
+    for module, saved in zip(modules, before):
+        assert all(vars(module)[attr] is value for attr, value in saved.items()), module.__name__
+    for (module, cls, attr), saved in zip(classes, methods_before):
+        assert vars(getattr(module, cls))[attr] is saved
 
 
 @pytest.mark.parametrize("module, cls, attr", sorted(tracing.SPANNED_METHODS))

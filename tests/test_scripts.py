@@ -44,6 +44,7 @@ def test_script_runs(name, args):
         assert [row["alpha"] for row in rows] == ["0.50", "1.50"]
         assert all(row["converged"] == "True" for row in rows)
         assert all(row["iters_per_level"].isdigit() for row in rows)
+        assert all(int(row["krylov_iters"]) > 0 for row in rows)
 
 
 def test_hughes_fronts_writes_profiles(tmp_path):
