@@ -174,10 +174,8 @@ def _samples_from(block: dict, n: int, path: str) -> np.ndarray:
     if not isinstance(values, list) or len(values) != n:
         got = f"{len(values)} values" if isinstance(values, list) else repr(values)
         raise ConfigError(f"schema violation at {path}.values: expected {n} samples, got {got}")
-    if not set(map(type, values)) <= {float, int}:  # a bool, string, ...: check in order
-        return np.array([_number(v, f"{path}.values[{i}]") for i, v in enumerate(values)])
-    samples = np.array(values, dtype=float)
-    for i in np.flatnonzero(~np.isfinite(samples))[:1]:  # _number raises for the first one
+    samples = np.array([v if type(v) in (int, float) else np.nan for v in values], dtype=float)
+    for i in np.flatnonzero(~np.isfinite(samples))[:1]:  # a non-number reads NaN; _number raises
         _number(values[i], f"{path}.values[{i}]")
     return samples
 

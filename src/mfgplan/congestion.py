@@ -440,6 +440,8 @@ def apriori_diagnostics(spec: CongestionSpec, eps: float, pp: PotentialPair,
 # ---------------------------------------------------------------------------
 # driver
 
+_NEWTON_MAX_STEPS, _GMRES_MAX_ITERS = 200, 40  # Newton steps a solve, GMRES iterations a step
+
 
 def _gmres(matvec, b, precondition, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
     """GMRES from 0 for ``matvec(x) = b != 0``, right-preconditioned (Saad & Schultz 1986).
@@ -463,8 +465,8 @@ def _gmres(matvec, b, precondition, rtol: float, maxiter: int) -> tuple[np.ndarr
     return np.array(steps).T @ y, j + 1
 
 
-def _newton_krylov(fun: Callable, x: np.ndarray, precondition: Callable, ftol: float,
-                   maxiter: int = 200, inner_maxiter: int = 40) -> tuple[np.ndarray, str, int, int]:
+def _newton_krylov(fun: Callable, x: np.ndarray, precondition: Callable,
+                   ftol: float) -> tuple[np.ndarray, str, int, int]:
     """Inexact Newton for ``fun(x) = 0`` until ``max|fun(x)| <= ftol``: Kelley's ``nsoli``.
 
     As in Kelley, *Solving Nonlinear Equations with Newton's Method* (SIAM 2003, ch. 3),
@@ -474,10 +476,10 @@ def _newton_krylov(fun: Callable, x: np.ndarray, precondition: Callable, ftol: f
     ``status`` ``"converged"``, ``"max_iters"`` or ``"line_search_failure"``."""
     f = fun(x)
     fnorm, eta, nit, krylov_iters = np.linalg.norm(f), 0.1, 0, 0
-    while np.max(np.abs(f)) > ftol and nit < maxiter:
+    while np.max(np.abs(f)) > ftol and nit < _NEWTON_MAX_STEPS:
         h = np.sqrt(np.finfo(float).eps) * max(1.0, float(np.max(np.abs(x))))
         d, k = _gmres(lambda v: (fun(x + h / np.linalg.norm(v) * v) - f) * np.linalg.norm(v) / h,
-                      -f, precondition, eta, inner_maxiter)
+                      -f, precondition, eta, _GMRES_MAX_ITERS)
         krylov_iters += k
         for lam in 0.5 ** np.arange(20):
             trial = x + lam * d

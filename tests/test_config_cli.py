@@ -300,10 +300,12 @@ def test_nonfinite_density_sample_rejected(tmp_path, mode, value):
     (float("nan"), "range violation at planning.m0.values[5]: nan is not a finite number"),
     (float("inf"), "range violation at planning.m0.values[5]: inf is not a finite number"),
 ])
-def test_density_samples_name_their_first_bad_value(tmp_path, value, message):
-    # the same message as checking each value through _number in order
+@pytest.mark.parametrize("later", ["later", float("nan"), float("-inf")])
+def test_density_samples_name_their_first_bad_value(tmp_path, value, message, later):
+    # the same message as checking each value through _number in order, also when
+    # every value is a float and only the array check can tell the first from the later
     values = [1.0] * 16
-    values[5], values[9] = value, "later"
+    values[5], values[9] = value, later
     doc = planning_doc(planning={"m0": {"type": "samples", "values": values}, "mT": "uniform"})
     with pytest.raises(ConfigError) as info:
         parse_config(write_config(tmp_path, doc))

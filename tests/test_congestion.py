@@ -545,10 +545,10 @@ def test_newton_krylov_converges_on_a_small_nonlinear_system(preconditioned):
     assert type(nit) is int and type(krylov_iters) is int and 0 < nit <= krylov_iters
 
 
-def test_newton_krylov_step_cap_reports_max_iters():
+def test_newton_krylov_step_cap_reports_max_iters(monkeypatch):
+    monkeypatch.setattr(congestion, "_NEWTON_MAX_STEPS", 1)
     x0 = -np.ones(10)
-    x, status, nit, krylov_iters = _newton_krylov(_broyden_tridiagonal, x0, lambda v: v, 1e-12,
-                                                  maxiter=1)
+    x, status, nit, krylov_iters = _newton_krylov(_broyden_tridiagonal, x0, lambda v: v, 1e-12)
     assert status == "max_iters" and nit == 1 and type(krylov_iters) is int
     assert np.max(np.abs(_broyden_tridiagonal(x))) < np.max(np.abs(_broyden_tridiagonal(x0)))
 
