@@ -45,7 +45,6 @@ from functools import lru_cache
 from importlib import import_module
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .grid import (
     Field,
@@ -56,6 +55,7 @@ from .grid import (
     antiderivative_x,
     dt_interior,
     dx_periodic,
+    factor_tridiagonal,
     integrate_xt,
     st_weights,
     time_weights,
@@ -269,14 +269,14 @@ def inner_phi_objective(spec: CongestionSpec, eps: float, f1: Field, phi: Field)
 
 @dataclass(frozen=True)
 class _Level:
-    """The systems of level ``eps``, built and factored once.
+    """The systems of level ``eps``, built and factored once by :func:`_level` (binding LAPACK).
 
     ``lift`` is the zero field carrying the pinned rows, ``interp`` the
     time-linear interpolant (:func:`~mfgplan.planning.initial_guess`); ``op``
     is ``eps (W + dt dx R)`` with its factored tangent-space ``solve``, ``ab``
-    the SPD tridiagonal q-block ``eps (M + K)`` (lower banded), ``wt`` is ``M``.
-    ``precondition`` applies the inverse of the Newton-Krylov Jacobian at the
-    uniform state (:func:`_newton_polish`).
+    the SPD tridiagonal q-block ``eps (M + K)`` (lower banded) with its factored
+    ``q_solve``, ``wt`` is ``M``.  ``precondition`` applies the inverse of the
+    Newton-Krylov Jacobian at the uniform state (:func:`_newton_polish`).
     """
 
     eps: float
@@ -285,6 +285,7 @@ class _Level:
     op: ModeBanded
     solve: Callable[[Field], Field]
     ab: np.ndarray
+    q_solve: Callable[[TimeSeries], TimeSeries]
     wt: TimeSeries
     precondition: Callable[[np.ndarray], np.ndarray]
 
@@ -301,18 +302,17 @@ def _level(spec: CongestionSpec, eps: float) -> _Level:
     diag = wt.copy()  # eps (M + K): trapezoid mass plus Neumann stiffness, lower banded
     diag[:-1] += 1.0 / g.dt
     diag[1:] += 1.0 / g.dt
-    ab = np.zeros((2, g.nt))
-    ab[0] = eps * diag
-    ab[1, :-1] = eps * (-1.0 / g.dt)
+    ab = eps * np.vstack([diag, np.append(np.full(g.nt - 1, -1.0 / g.dt), 0.0)])
     lin = bands.copy()  # W F1 linearised at y = 1, z = 0: the planning metric, L'' = 1, g' = mu
     lin[:3] += _metric_bands(g, 0, 1.0, spec.mu)
-    phi_block, q_block = ModeBanded(g, lin).factor(), np.vstack([ab[0] + wt, ab[1]])
+    phi_block = ModeBanded(g, lin).factor()
+    q_block = factor_tridiagonal(np.vstack([ab[0] + wt, ab[1]]))
 
     def precondition(r: np.ndarray) -> np.ndarray:
         phi = phi_block(g.dt * g.dx * r[: g.nt * g.nx].reshape(g.nt, g.nx))
-        return np.append(phi, solveh_banded(q_block, g.dt * r[phi.size :], lower=True))
+        return np.append(phi, q_block(g.dt * r[phi.size :]))
 
-    return _Level(eps, lift, interp, op, op.factor(), ab, wt, precondition)
+    return _Level(eps, lift, interp, op, op.factor(), ab, factor_tridiagonal(ab), wt, precondition)
 
 
 def _sweep(spec: CongestionSpec, lvl: _Level, pp: PotentialPair) -> tuple[Field, TimeSeries]:
@@ -334,7 +334,7 @@ def _sweep(spec: CongestionSpec, lvl: _Level, pp: PotentialPair) -> tuple[Field,
     if inner_phi_objective(spec, eps, f1, phi) > inner_phi_objective(spec, eps, f1, lvl.interp):
         phi = lvl.interp
     rhs = -lvl.wt * img.f2
-    q = solveh_banded(lvl.ab, rhs, lower=True)
+    q = lvl.q_solve(rhs)
     # direct solve on an SPD tridiagonal system; guard the residual anyway
     resid = _tridiag_apply(lvl.ab, q) - rhs
     if float(np.max(np.abs(resid))) > 1e-10 * max(float(np.max(np.abs(rhs))), 1.0):

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zpbtrf, zpbtrs
 
 __all__ = [
     "Grid",
@@ -41,6 +40,7 @@ __all__ = [
     "time_weights",
     "st_weights",
     "ModeBanded",
+    "factor_tridiagonal",
 ]
 
 # A Field is a real array of shape (nt, nx): row = time node, column = space
@@ -278,7 +278,9 @@ class ModeBanded:
         ``u = P u`` solves ``P A u = P rhs`` (``P`` the tangent projection) by
         ``zpbtrs`` per mode: the halves of LAPACK's banded ``zpbsv``, bit for bit.
         Raises ``np.linalg.LinAlgError`` for a block that is not positive definite.
+        Binds LAPACK on first use, as :func:`factor_tridiagonal` does: no scipy at import.
         """
+        from scipy.linalg.lapack import zpbtrf, zpbtrs
         factors = []
         for k in range(1, self.bands.shape[2]):
             chol, info = zpbtrf(self.bands[:, 1:-1, k].astype(complex), lower=1)
@@ -294,3 +296,15 @@ class ModeBanded:
             return np.fft.irfft(out, n=self.grid.nx, axis=1)
 
         return solve
+
+
+def factor_tridiagonal(ab: np.ndarray):
+    """Factor an SPD tridiagonal ``ab`` (lower banded, ``(2, n)``) once by LAPACK ``dpttrf``;
+    the returned ``rhs -> x`` runs ``dpttrs``: the halves of the ``dptsv`` that ``solveh_banded(ab,
+    rhs, lower=True)`` runs, bit for bit, and like it raises ``ValueError`` for a non-finite
+    ``rhs`` and ``np.linalg.LinAlgError`` for a matrix that is not positive definite."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    d, e, info = dpttrf(ab[0], ab[1, :-1])
+    if info > 0:
+        raise np.linalg.LinAlgError(f"leading minor {info} not positive definite")
+    return lambda rhs: dpttrs(d, e, np.asarray_chkfinite(rhs))[0]

@@ -320,6 +320,36 @@ def test_nonfinite_number_is_range_violation(tmp_path, value):
         parse_config(write_config(tmp_path, doc))
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_integer_beyond_the_float_range_is_range_violation(tmp_path, capsys, sign):
+    doc = {
+        "schema_version": 1,
+        "mode": "congestion",
+        "grid": {"nt": 13, "nx": 24},
+        "congestion": {"m0": "uniform", "mT": "uniform", "tol_fp": int(sign + "1" + "0" * 400)},
+    }
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError,
+                       match=rf"range violation at congestion\.tol_fp: {sign}inf is not a finite"):
+        parse_config(path)
+    assert main(["solve", str(path), "--quiet"]) == 1
+    assert "error: range violation at congestion.tol_fp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["planning", "validate"])
+def test_density_sample_beyond_the_float_range_is_range_violation(tmp_path, capsys, mode):
+    values = [1.0] * 16
+    values[3], values[7] = -(10**400), "later"
+    block = {"m0": {"type": "samples", "values": values}, "mT": "uniform"}
+    doc = planning_doc(planning=block) if mode == "planning" else validate_doc(block)
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError) as info:
+        parse_config(path)
+    assert str(info.value) == f"range violation at {mode}.m0.values[3]: -inf is not a finite number"
+    assert main(["solve" if mode == "planning" else "validate", str(path), "--quiet"]) == 1
+    assert "error: range violation at" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["solve", "validate"])
 @pytest.mark.parametrize("value", [5, ["a", "b"]])
 def test_output_dir_must_be_a_path(tmp_path, capsys, command, value):

@@ -236,8 +236,13 @@ def test_q_solve_guards_the_tridiagonal_residual(monkeypatch):
     eps = 0.01
     pp = PotentialPair(initial_guess(spec).phi, np.zeros(spec.grid.nt))
     inner_q_solve(spec, eps, pp)  # the exact banded solve passes the guard
-    solve = congestion.solveh_banded
-    monkeypatch.setattr(congestion, "solveh_banded", lambda *a, **kw: solve(*a, **kw) + 1.0)
+    factor = congestion.factor_tridiagonal
+
+    def perturbed(ab):
+        solve = factor(ab)
+        return lambda rhs: solve(rhs) + 1.0
+
+    monkeypatch.setattr(congestion, "factor_tridiagonal", perturbed)
     with pytest.raises(RuntimeError, match="tridiagonal solve residual above tolerance"):
         inner_q_solve(spec, eps, pp)
 

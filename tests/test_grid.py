@@ -15,6 +15,7 @@ from mfgplan.grid import (
     dt_transpose,
     dx_periodic,
     dxx_periodic,
+    factor_tridiagonal,
     integrate_x,
     integrate_xt,
     st_weights,
@@ -218,3 +219,42 @@ def test_mode_banded_factor_rejects_indefinite_mode():
     op = ModeBanded(g, bands)
     with pytest.raises(np.linalg.LinAlgError, match="mode 3: .* not positive definite"):
         op.factor()
+
+
+def _q_blocks(nt: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Congestion's q-block ``eps (M + K)`` and its preconditioner ``eps (M + K) + M``."""
+    g = Grid(nt=nt, nx=8, horizon=1.0)
+    wt = time_weights(g)
+    ab = np.zeros((2, nt))
+    ab[0] = wt
+    ab[0, :-1] += 1.0 / g.dt
+    ab[0, 1:] += 1.0 / g.dt
+    ab[1, :-1] = -1.0 / g.dt
+    ab *= eps
+    return ab, np.vstack([ab[0] + wt, ab[1]])
+
+
+@pytest.mark.parametrize("nt", [3, 13, 24, 257])
+def test_factor_tridiagonal_matches_solveh_banded(nt):
+    rng = np.random.default_rng(nt)
+    for ab in _q_blocks(nt, 1e-4):
+        solve = factor_tridiagonal(ab)
+        for scale in (1e-6, 1.0, 1e6):  # the factor is reused, not consumed
+            rhs = scale * rng.standard_normal(nt)
+            assert np.array_equal(solve(rhs), solveh_banded(ab, rhs, lower=True))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_factor_tridiagonal_rejects_nonfinite_rhs(bad):
+    solve = factor_tridiagonal(_q_blocks(13, 1e-4)[0])
+    rhs = np.ones(13)
+    rhs[4] = bad
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        solve(rhs)
+
+
+def test_factor_tridiagonal_rejects_indefinite_matrix():
+    ab = _q_blocks(13, 1e-4)[0]
+    ab[0, 5] = -1.0
+    with pytest.raises(np.linalg.LinAlgError, match="leading minor 6 not positive definite"):
+        factor_tridiagonal(ab)

@@ -50,14 +50,24 @@ def test_unused_import_is_found():
     assert unused_imports(source + "__all__ = ['dumps']\nos.sep\n") == ["loads"]
 
 
-@functools.cache
-def _modules_after_fresh_import() -> frozenset[str]:
-    """``sys.modules`` of a fresh interpreter after importing every entry module."""
-    code = ("import sys, mfgplan.cli, mfgplan.hughes, mfgplan.congestion; "
-            "print(' '.join(sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+def _modules_after(code: str) -> frozenset[str]:
+    """``sys.modules`` of a fresh interpreter, run from the repository root, after ``code``."""
+    script = f"import sys; {code}; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, cwd=_PACKAGE.parent.parent,
                          env={**os.environ, "PYTHONPATH": str(_PACKAGE.parent)}).stdout
     return frozenset(out.split())
+
+
+def _scipy(modules: frozenset[str]) -> list[str]:
+    return sorted(m for m in modules if m.split(".")[0] == "scipy")
+
+
+@functools.cache
+def _modules_after_fresh_import() -> frozenset[str]:
+    """``sys.modules`` of a fresh interpreter after importing every module of the package."""
+    names = sorted(p.stem for p in _PACKAGE.glob("*.py") if not p.stem.startswith("__"))
+    return _modules_after("import " + ", ".join(f"mfgplan.{name}" for name in names))
 
 
 def test_scipy_integrate_stays_out_of_the_import_graph():
@@ -65,6 +75,20 @@ def test_scipy_integrate_stays_out_of_the_import_graph():
 
 
 def test_scipy_optimize_and_sparse_stay_out_of_the_import_graph():
-    loaded = _modules_after_fresh_import()
-    assert "scipy.linalg" in loaded
-    assert sorted(m for m in loaded if m.startswith(("scipy.optimize", "scipy.sparse"))) == []
+    # no scipy module at all: LAPACK is bound at the first banded factorisation
+    assert _scipy(_modules_after_fresh_import()) == []
+
+
+@pytest.mark.parametrize("command, config, factors", [
+    ("solve", "hughes_constant.yaml", False),
+    ("validate", "validate_quadratic.yaml", False),
+    ("solve", "planning_sine.yaml", True),
+    ("solve", "congestion_sine.yaml", True),
+])
+def test_only_a_run_that_factors_loads_scipy(tmp_path, command, config, factors):
+    argv = [command, f"configs/{config}", "--out", str(tmp_path), "--quiet"]
+    loaded = _scipy(_modules_after(f"from mfgplan import cli; assert cli.main({argv!r}) == 0"))
+    if factors:  # the probe sees a LAPACK import when there is one
+        assert "scipy.linalg" in loaded
+    else:
+        assert loaded == []

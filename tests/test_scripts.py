@@ -72,3 +72,11 @@ def test_output_digest_repeats_exactly():
     assert any("/query_" in name for name in names)
     exits = {d for d, name in zip(digests, names) if name.endswith("/exit_code")}
     assert exits == {hashlib.sha256(b"0").hexdigest()}
+
+
+def test_startup_times_prints_one_row_per_config():
+    proc = run_script("startup_times.py", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == sorted(p.name for p in (ROOT / "configs").glob("*.yaml"))
+    assert all(float(row[1]) > 0.0 and row[-1] == "0" for row in rows)
