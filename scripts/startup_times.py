@@ -1,6 +1,6 @@
 """Start-up cost per shipped config: a fresh ``python -m mfgplan`` process, timed whole.
 
-For each ``configs/*.yaml`` (or the configs named), runs
+For each ``configs/*.yaml``, runs
 ``python -m mfgplan {solve|validate} <config> --out <tempdir> --quiet`` in a
 fresh interpreter ``--repeat`` times (``validate`` for a validate-mode config)
 and prints one row per config: the median wall time and its quartiles, in
@@ -8,7 +8,7 @@ seconds, and the exit codes seen.  Interpreter start, imports, parsing, the
 solve and the writes are all in the time, so it shows what a command-line user
 waits for, imports included.  ``--src`` times another checkout's package.
 
-    python3 scripts/startup_times.py [--repeat 7] [--src path/to/src] [planning_sine.yaml ...]
+    python3 scripts/startup_times.py [--repeat 7] [--src path/to/src]
 """
 
 import argparse
@@ -39,16 +39,13 @@ def time_run(config: Path, src: Path) -> tuple[float, int]:
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("configs", nargs="*", help="config names under configs/ (default: all)")
     ap.add_argument("--repeat", type=int, default=7, help="fresh runs per config")
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding mfgplan")
     args = ap.parse_args()
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
-    paths = ([ROOT / "configs" / name for name in args.configs]
-             or sorted(ROOT.glob("configs/*.yaml")))
     print(f"{'config':26s} {'median_s':>9s} {'q1_s':>7s} {'q3_s':>7s}  exit")
-    for path in paths:
+    for path in sorted(ROOT.glob("configs/*.yaml")):
         times, codes = zip(*(time_run(path, args.src.resolve()) for _ in range(args.repeat)))
         q1, median, q3 = np.percentile(times, [25, 50, 75])
         exits = ",".join(str(c) for c in sorted(set(codes)))

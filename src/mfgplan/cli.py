@@ -179,8 +179,9 @@ def _samples_from(block: dict, n: int, path: str) -> np.ndarray:
         raise ConfigError(f"schema violation at {path}.values: expected {n} samples, got {got}")
     try:
         samples = np.array([v if type(v) in (int, float) else np.nan for v in values], dtype=float)
-    except OverflowError:  # an integer beyond the double range: _number names the first bad value
-        samples = np.array([_number(v, f"{path}.values[{i}]") for i, v in enumerate(values)])
+    except OverflowError:  # an integer beyond the double range: always raises, at the first bad value
+        for i, v in enumerate(values):
+            _number(v, f"{path}.values[{i}]")
     for i in np.flatnonzero(~np.isfinite(samples))[:1]:  # a non-number reads NaN; _number raises
         _number(values[i], f"{path}.values[{i}]")
     return samples
@@ -229,8 +230,10 @@ def _target_from(block: dict, grid: Grid, path: str, keys=_MODEL_KEYS) -> Valida
     elif coup_entry == "linear":
         # fails the strict-convexity assumption: the solvers accept it, and only
         # ``mfgplan validate`` flags it
-        coup = Coupling(G=lambda z: np.asarray(z, dtype=float).copy(),
-                        g=lambda z: np.ones_like(np.asarray(z, dtype=float)))
+        coup = Coupling(
+            G=lambda z: np.asarray(z, dtype=float).copy(),
+            g=lambda z: np.ones_like(np.asarray(z, dtype=float)),
+        )
     else:
         cb = _typed_entry(coup_entry, f"{path}.coupling", "power", {"gamma"},
                           "quadratic, linear, or power")
@@ -278,12 +281,16 @@ _CONGESTION_KEYS = {"alpha", "mu", "m0", "mT", "tol_fp"}
 def _congestion_from(block: dict, grid: Grid, path: str) -> CongestionSpec:
     block = _as_block(block, path)
     _reject_unknown(block, _CONGESTION_KEYS, path)
+    alpha = _number(block.get("alpha", 0.5), f"{path}.alpha", lo=0.0, hi=2.0, lo_open=True)
+    mu = _number(block.get("mu", 1.0), f"{path}.mu", lo=0.0, lo_open=True)
+    m0 = _density_from(_require(block, "m0", path), grid, f"{path}.m0")
+    mT = _density_from(_require(block, "mT", path), grid, f"{path}.mT")
     return CongestionSpec(
         grid=grid,
-        alpha=_number(block.get("alpha", 0.5), f"{path}.alpha", lo=0.0, hi=2.0, lo_open=True),
-        mu=_number(block.get("mu", 1.0), f"{path}.mu", lo=0.0, lo_open=True),
-        m0=_density_from(_require(block, "m0", path), grid, f"{path}.m0"),
-        mT=_density_from(_require(block, "mT", path), grid, f"{path}.mT"),
+        alpha=alpha,
+        mu=mu,
+        m0=m0,
+        mT=mT,
         tol_fp=_number(block.get("tol_fp", 1e-6), f"{path}.tol_fp", lo=0.0, lo_open=True),
     )
 
@@ -309,7 +316,7 @@ def _hughes_density_from(entry, xs: np.ndarray, path: str) -> np.ndarray:
     raise ConfigError(f"schema violation at {path}.type: unknown density type {kind!r}")
 
 
-def _hughes_from(block: dict, _grid: None, path: str) -> HughesSpec:
+def _hughes_from(block: dict, path: str) -> HughesSpec:
     block = _as_block(block, path)
     _reject_unknown(block, _HUGHES_KEYS, path)
     x_min = _number(_require(block, "x_min", path), f"{path}.x_min")
@@ -338,11 +345,6 @@ def _hughes_from(block: dict, _grid: None, path: str) -> HughesSpec:
     rho0 = _hughes_density_from(_require(block, "rho0", path), xs, f"{path}.rho0")
     branch = block.get("branch", "increasing")
     return HughesSpec(x_min=x_min, x_max=x_max, rho0=rho0, times=times, branch=branch, speed=speed)
-
-
-# the spec of each mode, from its block, the grid (None for hughes) and the block's path
-_PARSERS = {"planning": _planning_from, "congestion": _congestion_from, "hughes": _hughes_from,
-            "validate": _target_from}
 
 
 def parse_config(path) -> RunConfig:
@@ -394,7 +396,14 @@ def parse_config(path) -> RunConfig:
                           "from the hughes block (x_min, x_max, nx, times)")
     grid = None if mode == "hughes" else _grid_from(doc.get("grid", {}), "grid")
     try:  # what the spec constructors reject is a range violation in the mode block
-        spec = _PARSERS[mode](block, grid, mode)
+        if mode == "hughes":
+            spec = _hughes_from(block, mode)
+        elif mode == "planning":
+            spec = _planning_from(block, grid, mode)
+        elif mode == "congestion":
+            spec = _congestion_from(block, grid, mode)
+        else:
+            spec = _target_from(block, grid, mode)
     except ValueError as exc:
         raise ConfigError(f"range violation in {mode}: {exc}") from exc
     return RunConfig(mode=mode, seed=seed, output_dir=Path(output_dir), spec=spec)
@@ -541,7 +550,9 @@ def run_validation(config: RunConfig, quiet: bool = False) -> int:
     """Report :func:`model.check_assumptions` on the config; 0 all pass, 2 any failure."""
     spec = config.spec
     if isinstance(spec, HughesSpec):
-        raise ConfigError("assumption validation needs a planning, validate, or congestion block")
+        raise ConfigError(
+            "assumption validation needs a planning, validate, or congestion block"
+        )
     model = None if isinstance(spec, CongestionSpec) else spec.model
     checks = check_assumptions(model, spec.m0, spec.mT, spec.grid.x,
                                np.random.default_rng(config.seed))

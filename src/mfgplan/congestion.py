@@ -302,7 +302,9 @@ def _level(spec: CongestionSpec, eps: float) -> _Level:
     diag = wt.copy()  # eps (M + K): trapezoid mass plus Neumann stiffness, lower banded
     diag[:-1] += 1.0 / g.dt
     diag[1:] += 1.0 / g.dt
-    ab = eps * np.vstack([diag, np.append(np.full(g.nt - 1, -1.0 / g.dt), 0.0)])
+    ab = np.zeros((2, g.nt))
+    ab[0] = eps * diag
+    ab[1, :-1] = eps * (-1.0 / g.dt)
     lin = bands.copy()  # W F1 linearised at y = 1, z = 0: the planning metric, L'' = 1, g' = mu
     lin[:3] += _metric_bands(g, 0, 1.0, spec.mu)
     phi_block = ModeBanded(g, lin).factor()

@@ -252,7 +252,8 @@ class PerspectiveL0:
     hamiltonian: Hamiltonian  # the conjugate of ``lagrangian``
 
     def value(self, z, y):
-        z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
+        z = np.asarray(z, dtype=float)
+        y = np.asarray(y, dtype=float)
         if np.any(y < 0):
             raise ValueError("perspective requires y >= 0")
         out = self._value_and_partials(*np.broadcast_arrays(z, y))[0]
@@ -263,7 +264,8 @@ class PerspectiveL0:
 
         ``-H(L'(w)) = L(w) - w L'(w)`` (Fenchel), so one slope inversion serves both.
         """
-        z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
+        z = np.asarray(z, dtype=float)
+        y = np.asarray(y, dtype=float)
         if np.any(y <= 0):
             raise ValueError("perspective partials require y > 0")
         return self._value_and_partials(*np.broadcast_arrays(z, y))[1:]

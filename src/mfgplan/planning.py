@@ -392,8 +392,8 @@ def random_feasible_pair(spec, rng: np.random.Generator, amplitude: float = 0.3)
     return PotentialPair(phi=base.phi + scale * noise, q=q)
 
 
-def _metric_bands(g: Grid, order: int, lpp: float, gp1: float) -> np.ndarray:
-    """:class:`ModeBanded` bands of the constant-coefficient Hessian at the uniform state.
+def _build_preconditioner(spec: PlanningSpec, lpp: float, gp1: float):
+    """Inverse of the constant-coefficient Hessian block at the uniform state.
 
     At the uniform density the phi-Hessian diagonalizes over spatial Fourier
     modes into banded time matrices
@@ -404,10 +404,18 @@ def _metric_bands(g: Grid, order: int, lpp: float, gp1: float) -> np.ndarray:
     Laplacean symbol ``lap_k`` (zero when ``order = 0``) and ``s_k`` the
     central-difference symbol.  ``S_k^T W_t S_k`` expands into three
     k-independent matrices of bandwidth at most 2, weighted by 1, ``lap_k``
-    and ``lap_k^2``.  ``(lpp, gp1)`` are :func:`_curvatures`.  Factored
-    (:meth:`ModeBanded.factor`), they map a plain l2 phi-gradient to the
-    descent direction of :func:`minimize`, on the feasible tangent space.
+    and ``lap_k^2``, so the ``A_k`` are stored as :class:`ModeBanded` bands
+    and Cholesky-factored once per mode (:meth:`ModeBanded.factor`); the
+    solve drops the pinned rows and the zero mode (both outside the feasible
+    tangent space).  ``(lpp, gp1)`` are :func:`_curvatures`.  Returns the
+    factored solve, a callable mapping a plain l2 phi-gradient to a descent
+    direction.
     """
+    return ModeBanded(spec.grid, _metric_bands(spec.grid, spec.order, lpp, gp1)).factor()
+
+
+def _metric_bands(g: Grid, order: int, lpp: float, gp1: float) -> np.ndarray:
+    """The bands of the ``A_k`` of :func:`_build_preconditioner`, unfactored."""
     wt = time_weights(g)
     mt = time_stencil_matrix(g)
 
@@ -529,7 +537,7 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
     dens_trace = [float(np.min(terms[1]))]
 
     lpp, gp1 = _curvatures(spec)
-    precondition = ModeBanded(g, _metric_bands(g, spec.order, lpp, gp1)).factor()
+    precondition = _build_preconditioner(spec, lpp, gp1)
     w_field = st_weights(g)
 
     def metric(r):  # H0: the factored metric for phi, the identity for q

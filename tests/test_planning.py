@@ -11,7 +11,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from mfgplan.grid import (
     Grid,
-    ModeBanded,
     dt_interior,
     dx_periodic,
     dxx_periodic,
@@ -27,6 +26,7 @@ from mfgplan.model import build_model, cosine_potential, power_coupling, power_h
 from mfgplan.planning import (
     PlanningSpec,
     PotentialPair,
+    _build_preconditioner,
     _evaluate,
     _gradient,
     _two_loop,
@@ -324,12 +324,6 @@ def test_minimize_with_potential_moves_mass():
     assert report.objective_trace[-1] < 0.5
 
 
-def _metric(spec: PlanningSpec):
-    """The factored descent metric of ``minimize``."""
-    bands = planning_module._metric_bands(spec.grid, spec.order, *planning_module._curvatures(spec))
-    return ModeBanded(spec.grid, bands).factor()
-
-
 def _dense_preconditioner(
     spec: PlanningSpec, rhs: np.ndarray
 ) -> tuple[np.ndarray, float, float]:
@@ -371,7 +365,7 @@ def test_preconditioner_matches_dense_per_mode_cholesky(order, nx, power):
     if power:  # L''(0) = 1/H''(0) = 2/3 and g'(1) = 3/2 reach both coefficients
         assert lpp == pytest.approx(2.0 / 3.0, rel=1e-6)
         assert gp1 == pytest.approx(1.5, rel=1e-6)
-    out = _metric(spec)(rhs)
+    out = _build_preconditioner(spec, *planning_module._curvatures(spec))(rhs)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -538,7 +532,7 @@ def test_empty_memory_direction_descends(kind, order):
     # -H0 grad, H0 SPD, so its slope is negative for every nonzero gradient
     spec = sine_spec(nt=17, nx=16, model=_model(kind), order=order)
     g = spec.grid
-    precondition = _metric(spec)
+    precondition = _build_preconditioner(spec, *planning_module._curvatures(spec))
 
     def metric(r):
         return precondition(st_weights(g) * r[0]), r[1]
