@@ -8,6 +8,7 @@ Run from the repo root:
 """
 
 import argparse
+import time
 
 import numpy as np
 
@@ -24,7 +25,9 @@ def solve_level(nt, nx, order):
         mT=1.0 - 0.1 * np.sin(2 * np.pi * g.x),
         order=order,
     )
+    started = time.perf_counter()
     rep = minimize(spec)
+    wall = time.perf_counter() - started
     sol = recover(spec, rep.pair, rep.slopes)
     return {
         "nt": nt,
@@ -34,7 +37,7 @@ def solve_level(nt, nx, order):
         "exit_reason": rep.diagnostics["exit_reason"],
         "fp_sup": float(np.max(np.abs(sol.residual_fp))),
         "hj_sup": float(np.max(np.abs(sol.residual_hj[1:-1]))),
-        "wall": rep.wall_time,
+        "wall": wall,
     }
 
 

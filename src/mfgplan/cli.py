@@ -124,6 +124,7 @@ def _number(value, path: str, lo=None, hi=None, lo_open=False) -> float:
 def _integer(value, path: str, lo=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"schema violation at {path}: expected an integer, got {value!r}")
+    _number(value, path)  # an integer beyond the double range is a range violation
     if lo is not None and value < lo:
         raise ConfigError(f"range violation at {path}: {value} below minimum {lo}")
     return value

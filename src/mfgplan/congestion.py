@@ -38,7 +38,6 @@ factored once per level (:class:`~mfgplan.grid.ModeBanded`, :func:`_level`).
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -610,7 +609,6 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
     its Newton-Krylov counts (see :func:`_newton_polish`; ``None`` and zeros
     when no solve ran) as its one entry.
     """
-    t_start = time.perf_counter()
     eps = spec.eps
     lvl = _level(spec, eps)
     pp = PotentialPair(lvl.interp, np.zeros(spec.grid.nt))
@@ -652,7 +650,6 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
         grad_norm=resid,
         iterations=len(trace),
         converged=level["converged"],
-        wall_time=time.perf_counter() - t_start,
         diagnostics=diagnostics,
         solution=solution,
     )

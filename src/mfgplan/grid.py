@@ -122,9 +122,12 @@ def dx_periodic(grid: Grid, f: Field) -> Field:
 
 
 def dxx_periodic(grid: Grid, f: Field) -> Field:
-    """Three-point periodic Laplacean in x; symmetric, annihilates constants."""
+    """Three-point periodic Laplacean in x; symmetric, annihilates constants.  Taken
+    difference-first, ``(fwd - roll(fwd, 1)) / dx^2`` with ``fwd = roll(f, -1) - f``
+    (increments of close neighbours are exact)."""
     f = _as_field(grid, f)
-    return (np.roll(f, -1, axis=1) - 2.0 * f + np.roll(f, 1, axis=1)) / grid.dx**2
+    fwd = np.roll(f, -1, axis=1) - f
+    return (fwd - np.roll(fwd, 1, axis=1)) / grid.dx**2
 
 
 def dt_interior(grid: Grid, f: Field) -> Field:

@@ -30,7 +30,6 @@ the partials of its gradient, if accepted.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -139,25 +138,18 @@ def potential_fields(grid: Grid, pp: PotentialPair, order: int) -> tuple[Field, 
 
     The density is ``m = phi_x + 1`` and the flux ``phi_t + q - order * phi_xx``;
     written through the potential, the discrete continuity equation between
-    them holds at every pair, which is why no solver enforces it.
-
-    The Laplacean of ``phi`` is taken difference-first, ``(fwd - roll(fwd, 1)) / dx^2``
-    with ``fwd = roll(phi, -1) - phi`` (increments of close neighbours are exact).  With
-    a low part the field is ``phi + lo``: the stencils of ``lo``, its x-derivatives
-    taken from its forward increments alike, are added before ``q`` and the 1, so a
-    zero ``lo`` moves no bit.
+    them holds at every pair, which is why no solver enforces it.  Every term is a
+    :mod:`~mfgplan.grid` stencil.  With a low part the field is ``phi + lo``: the
+    stencils of ``lo`` are added before ``q`` and the 1, so a zero ``lo`` moves no bit.
     """
     phi, lo = pp.phi, pp.lo
     flux, dens = dt_interior(grid, phi), dx_periodic(grid, phi)
     if lo is not None:
-        fwd_lo = np.roll(lo, -1, axis=1) - lo
-        back_lo = np.roll(fwd_lo, 1, axis=1)
-        flux, dens = flux + dt_interior(grid, lo), dens + (fwd_lo + back_lo) / (2.0 * grid.dx)
+        flux, dens = flux + dt_interior(grid, lo), dens + dx_periodic(grid, lo)
     flux += pp.q[:, None]
     if order == 1:
-        fwd = np.roll(phi, -1, axis=1) - phi
-        lap = (fwd - np.roll(fwd, 1, axis=1)) / grid.dx**2
-        flux -= lap if lo is None else lap + (fwd_lo - back_lo) / grid.dx**2
+        lap = dxx_periodic(grid, phi)
+        flux -= lap if lo is None else lap + dxx_periodic(grid, lo)
     return flux, dens + 1.0
 
 
@@ -197,14 +189,14 @@ def check_marginal(grid: Grid, m, name: str) -> np.ndarray:
 
 @dataclass
 class SolveReport:
-    """Outcome of one :func:`minimize` call; ``slopes`` is ``L'(flux / density)`` at ``pair``."""
+    """Outcome of one solve; ``slopes`` is ``L'(flux / density)`` at ``pair``.  No timing:
+    the CLI measures the ``wall_time`` of ``report.json``."""
 
     pair: PotentialPair
     objective_trace: np.ndarray
     grad_norm: float
     iterations: int
     converged: bool
-    wall_time: float
     diagnostics: dict
     solution: object | None = None
     slopes: Field | None = None
@@ -392,8 +384,8 @@ def random_feasible_pair(spec, rng: np.random.Generator, amplitude: float = 0.3)
     return PotentialPair(phi=base.phi + scale * noise, q=q)
 
 
-def _build_preconditioner(spec: PlanningSpec, lpp: float, gp1: float):
-    """Inverse of the constant-coefficient Hessian block at the uniform state.
+def _metric_bands(g: Grid, order: int, lpp: float, gp1: float) -> np.ndarray:
+    """Bands of the constant-coefficient Hessian block at the uniform state, unfactored.
 
     At the uniform density the phi-Hessian diagonalizes over spatial Fourier
     modes into banded time matrices
@@ -404,18 +396,12 @@ def _build_preconditioner(spec: PlanningSpec, lpp: float, gp1: float):
     Laplacean symbol ``lap_k`` (zero when ``order = 0``) and ``s_k`` the
     central-difference symbol.  ``S_k^T W_t S_k`` expands into three
     k-independent matrices of bandwidth at most 2, weighted by 1, ``lap_k``
-    and ``lap_k^2``, so the ``A_k`` are stored as :class:`ModeBanded` bands
-    and Cholesky-factored once per mode (:meth:`ModeBanded.factor`); the
-    solve drops the pinned rows and the zero mode (both outside the feasible
-    tangent space).  ``(lpp, gp1)`` are :func:`_curvatures`.  Returns the
-    factored solve, a callable mapping a plain l2 phi-gradient to a descent
-    direction.
+    and ``lap_k^2``, so the ``A_k`` are stored as :class:`ModeBanded` bands;
+    ``minimize`` factors them once per solve (:meth:`ModeBanded.factor`, which
+    drops the pinned rows and the zero mode, both outside the feasible tangent
+    space) into the metric mapping a plain l2 phi-gradient to a descent
+    direction.  ``(lpp, gp1)`` are :func:`_curvatures`.
     """
-    return ModeBanded(spec.grid, _metric_bands(spec.grid, spec.order, lpp, gp1)).factor()
-
-
-def _metric_bands(g: Grid, order: int, lpp: float, gp1: float) -> np.ndarray:
-    """The bands of the ``A_k`` of :func:`_build_preconditioner`, unfactored."""
     wt = time_weights(g)
     mt = time_stencil_matrix(g)
 
@@ -523,7 +509,6 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
         decrease even though the predicted decrease was resolvable
         ("line-search failure").
     """
-    t_start = time.perf_counter()
     g = spec.grid
     pp = initial_guess(spec) if start is None else start
     phi, q = pp.phi.copy(), pp.q.copy()
@@ -537,7 +522,7 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
     dens_trace = [float(np.min(terms[1]))]
 
     lpp, gp1 = _curvatures(spec)
-    precondition = _build_preconditioner(spec, lpp, gp1)
+    precondition = ModeBanded(g, _metric_bands(g, spec.order, lpp, gp1)).factor()
     w_field = st_weights(g)
 
     def metric(r):  # H0: the factored metric for phi, the identity for q
@@ -637,7 +622,6 @@ def minimize(spec: PlanningSpec, start: PotentialPair | None = None) -> SolveRep
         grad_norm=gnorm,
         iterations=iters,
         converged=converged,
-        wall_time=time.perf_counter() - t_start,
         diagnostics=diagnostics,
         slopes=terms[2][0],
     )

@@ -337,6 +337,23 @@ def test_integer_beyond_the_float_range_is_range_violation(tmp_path, capsys, sig
 
 
 @pytest.mark.parametrize("mode", ["planning", "validate"])
+@pytest.mark.parametrize("field", ["m0.mode", "potential.frequency"])
+def test_integer_count_beyond_the_float_range_is_range_violation(tmp_path, capsys, mode, field):
+    huge = int("1" + "0" * 400)
+    block = {"m0": {"type": "sine", "mode": 1}, "mT": "uniform",
+             "potential": {"type": "cosine", "frequency": 1}}
+    key, sub = field.split(".")
+    block[key][sub] = huge
+    doc = planning_doc(planning=block) if mode == "planning" else validate_doc(block)
+    doc["output_dir"] = str(tmp_path / "out")
+    path = write_config(tmp_path, doc)
+    assert main(["solve" if mode == "planning" else "validate", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: range violation at {mode}.{field}: inf is not a finite number" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["planning", "validate"])
 def test_density_sample_beyond_the_float_range_is_range_violation(tmp_path, capsys, mode):
     values = [1.0] * 16
     values[3], values[7] = -(10**400), "later"

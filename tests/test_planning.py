@@ -11,6 +11,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from mfgplan.grid import (
     Grid,
+    ModeBanded,
     dt_interior,
     dx_periodic,
     dxx_periodic,
@@ -26,9 +27,9 @@ from mfgplan.model import build_model, cosine_potential, power_coupling, power_h
 from mfgplan.planning import (
     PlanningSpec,
     PotentialPair,
-    _build_preconditioner,
     _evaluate,
     _gradient,
+    _metric_bands,
     _two_loop,
     _two_sum,
     boundary_slices,
@@ -256,13 +257,19 @@ def test_low_part_enters_every_stencil(order):
 
 @pytest.mark.parametrize("nt, nx", [(33, 32), (129, 128), (257, 256)])
 def test_difference_first_laplacean_agrees_with_stencil(nt, nx):
+    # the flux's Laplacean is grid's, bit for bit, with and without a low part
     spec = _refinement_spec(nt, nx)
     g = spec.grid
-    pp = random_feasible_pair(spec, np.random.default_rng(nx))
-    laplacean = potential_fields(g, pp, 0)[0] - potential_fields(g, pp, 1)[0]
-    # the two Laplaceans differ only in how their sums are rounded
-    bound = 4.0 * np.finfo(float).eps * np.max(np.abs(pp.phi)) / g.dx**2
-    assert np.max(np.abs(laplacean - dxx_periodic(g, pp.phi))) <= bound
+    rng = np.random.default_rng(nx)
+    pp = random_feasible_pair(spec, rng)
+    phi, q = pp.phi, pp.q[:, None]
+    assert np.array_equal(potential_fields(g, pp, 1)[0],
+                          dt_interior(g, phi) + q - dxx_periodic(g, phi))
+    lo = 1e-17 * rng.standard_normal((nt, nx))
+    flux, dens = potential_fields(g, PotentialPair(phi, pp.q, lo), 1)
+    lap = dxx_periodic(g, phi) + dxx_periodic(g, lo)
+    assert np.array_equal(flux, dt_interior(g, phi) + dt_interior(g, lo) + q - lap)
+    assert np.array_equal(dens, dx_periodic(g, phi) + dx_periodic(g, lo) + 1.0)
 
 
 def test_random_feasible_pair_is_strictly_feasible():
@@ -365,8 +372,24 @@ def test_preconditioner_matches_dense_per_mode_cholesky(order, nx, power):
     if power:  # L''(0) = 1/H''(0) = 2/3 and g'(1) = 3/2 reach both coefficients
         assert lpp == pytest.approx(2.0 / 3.0, rel=1e-6)
         assert gp1 == pytest.approx(1.5, rel=1e-6)
-    out = _build_preconditioner(spec, *planning_module._curvatures(spec))(rhs)
+    bands = _metric_bands(spec.grid, order, *planning_module._curvatures(spec))
+    out = ModeBanded(spec.grid, bands).factor()(rhs)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("nx", [16, 15])
+def test_metric_is_the_objective_hessian_at_the_uniform_state(order, nx):
+    # quadratic model, V = 0, uniform marginals: L''(0) = g'(1) = 1 at the flat pair
+    spec = PlanningSpec(grid=Grid(nt=11, nx=nx, horizon=1.0), order=order)
+    g = spec.grid
+    d = project_tangent(g, np.random.default_rng(nx + 10 * order).standard_normal((11, nx)))
+    h = 1e-6
+    plus, minus = (gradient(spec, PotentialPair(s * h * d, np.zeros(11)))[0] for s in (1, -1))
+    fd = (plus - minus) / (2 * h)
+    exact = project_tangent(g, ModeBanded(g, _metric_bands(g, order, 1.0, 1.0)).apply(d)
+                            / st_weights(g))
+    assert np.max(np.abs(fd - exact)) <= 1e-8 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("order", [0, 1])
@@ -532,7 +555,8 @@ def test_empty_memory_direction_descends(kind, order):
     # -H0 grad, H0 SPD, so its slope is negative for every nonzero gradient
     spec = sine_spec(nt=17, nx=16, model=_model(kind), order=order)
     g = spec.grid
-    precondition = _build_preconditioner(spec, *planning_module._curvatures(spec))
+    bands = _metric_bands(g, order, *planning_module._curvatures(spec))
+    precondition = ModeBanded(g, bands).factor()
 
     def metric(r):
         return precondition(st_weights(g) * r[0]), r[1]
