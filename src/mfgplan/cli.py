@@ -585,18 +585,14 @@ def _write_solution(out: Path, g: Grid, report, sol, trace_header: str) -> None:
 
 
 def _run_planning(spec: PlanningSpec, out: Path) -> tuple[dict, bool, str]:
-    started = time.perf_counter()
     report = minimize(spec)
     sol = recover(spec, report.pair, report.slopes)
-    wall = time.perf_counter() - started
-
     _write_solution(out, spec.grid, report, sol, "iteration,objective")
     summary = {
         "converged": bool(report.converged),
         "iterations": int(report.iterations),
         "objective": float(report.objective_trace[-1]),
         "grad_norm": float(report.grad_norm),
-        "wall_time": wall,
         "residuals": validate_solution(sol, spec),
         "objective_trace": report.objective_trace,
         "diagnostics": report.diagnostics,
@@ -608,16 +604,12 @@ def _run_planning(spec: PlanningSpec, out: Path) -> tuple[dict, bool, str]:
 
 
 def _run_congestion(spec: CongestionSpec, out: Path) -> tuple[dict, bool, str]:
-    started = time.perf_counter()
     report = solve_congestion(spec)
-    wall = time.perf_counter() - started
-
     _write_solution(out, spec.grid, report, report.solution, "iteration,fp_residual")
     summary = {
         "converged": bool(report.converged),
         "iterations": int(report.iterations),
         "fp_residual_sup": float(report.grad_norm),
-        "wall_time": wall,
         "diagnostics": report.diagnostics,
     }
     state = "converged" if report.converged else "NOT converged"
@@ -626,10 +618,7 @@ def _run_congestion(spec: CongestionSpec, out: Path) -> tuple[dict, bool, str]:
 
 
 def _run_hughes(spec: HughesSpec, out: Path) -> tuple[dict, bool, str]:
-    started = time.perf_counter()
     sol = solve_hughes(spec)
-    wall = time.perf_counter() - started
-
     ts = np.asarray(sol.times)
     for name, field in (("phi", sol.phi), ("m", sol.rho), ("ystar", sol.ystar)):
         write_field_csv(out / f"solution_{name}.csv", ts, sol.xs, field)
@@ -640,7 +629,6 @@ def _run_hughes(spec: HughesSpec, out: Path) -> tuple[dict, bool, str]:
         "times": list(ts),
         "eikonal_sup": float(np.max(per_time)) if per_time.size else 0.0,
         "density_range": [float(np.min(sol.rho)), float(np.max(sol.rho))],
-        "wall_time": wall,
     }
     return summary, True, (
         f"evaluated {len(sol.times)} time slices, eikonal sup {summary['eikonal_sup']:.3e}")
@@ -653,12 +641,15 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     """Dispatch one parsed config; returns the process exit status.
 
     A solver run writes its outputs and ``report.json``, the runner's summary after the
-    mode and seed, and prints the runner's one-line message after the mode."""
+    mode and seed, then ``wall_time``, the seconds the runner took (solve and writes), and
+    prints the runner's one-line message after the mode."""
     if config.mode == "validate":
         return run_validation(config, quiet=quiet)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
     summary, converged, message = _RUNNERS[config.mode](config.spec, out)
+    summary["wall_time"] = time.perf_counter() - started
     _write_report(out / "report.json", {"mode": config.mode, "seed": config.seed, **summary})
     if not quiet:
         print(f"{config.mode}: {message}")

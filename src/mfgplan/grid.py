@@ -20,6 +20,10 @@ revisiting that proof.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,6 +253,27 @@ def antiderivative_t(grid: Grid, c: TimeSeries) -> TimeSeries:
     return np.concatenate(([0.0], np.cumsum(grid.dt * (c[1:] + c[:-1]) / 2.0)))
 
 
+def _lapack(*names: str) -> list:
+    """The LAPACK routines ``names`` of scipy's ``_flapack`` extension, the very objects
+    ``scipy.linalg.lapack`` exports, loaded without ``scipy.linalg``'s package ``__init__``
+    (0.2 s and 24 MB a process).  ``_flapack`` is private to scipy: should a release move it,
+    this raises ``ImportError`` naming every path it tried."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+        stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+        tried = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in tried if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError(f"no {name} extension; tried {', '.join(tried)}")
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+        sys.modules[name] = module
+    return [getattr(module, routine) for routine in names]
+
+
 @dataclass(frozen=True, eq=False)
 class ModeBanded:
     """Symmetric operator, periodic in x and banded in t, split over Fourier modes.
@@ -283,7 +308,7 @@ class ModeBanded:
         Raises ``np.linalg.LinAlgError`` for a block that is not positive definite.
         Binds LAPACK on first use, as :func:`factor_tridiagonal` does: no scipy at import.
         """
-        from scipy.linalg.lapack import zpbtrf, zpbtrs
+        zpbtrf, zpbtrs = _lapack("zpbtrf", "zpbtrs")
         factors = []
         for k in range(1, self.bands.shape[2]):
             chol, info = zpbtrf(self.bands[:, 1:-1, k].astype(complex), lower=1)
@@ -306,7 +331,7 @@ def factor_tridiagonal(ab: np.ndarray):
     the returned ``rhs -> x`` runs ``dpttrs``: the halves of the ``dptsv`` that ``solveh_banded(ab,
     rhs, lower=True)`` runs, bit for bit, and like it raises ``ValueError`` for a non-finite
     ``rhs`` and ``np.linalg.LinAlgError`` for a matrix that is not positive definite."""
-    from scipy.linalg.lapack import dpttrf, dpttrs
+    dpttrf, dpttrs = _lapack("dpttrf", "dpttrs")
     d, e, info = dpttrf(ab[0], ab[1, :-1])
     if info > 0:
         raise np.linalg.LinAlgError(f"leading minor {info} not positive definite")

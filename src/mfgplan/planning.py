@@ -190,7 +190,7 @@ def check_marginal(grid: Grid, m, name: str) -> np.ndarray:
 @dataclass
 class SolveReport:
     """Outcome of one solve; ``slopes`` is ``L'(flux / density)`` at ``pair``.  No timing:
-    the CLI measures the ``wall_time`` of ``report.json``."""
+    ``report.json``'s ``wall_time`` is the CLI's, over the whole run, CSV writes included."""
 
     pair: PotentialPair
     objective_trace: np.ndarray

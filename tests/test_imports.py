@@ -50,13 +50,18 @@ def test_unused_import_is_found():
     assert unused_imports(source + "__all__ = ['dumps']\nos.sep\n") == ["loads"]
 
 
+def _fresh(script: str, *path: Path) -> str:
+    """Standard output of ``script`` in a fresh interpreter run from the repository root,
+    with ``path`` (then the package's ``src``) in front of the import path."""
+    pythonpath = os.pathsep.join(str(p) for p in (*path, _PACKAGE.parent))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, cwd=_PACKAGE.parent.parent,
+                          env={**os.environ, "PYTHONPATH": pythonpath}).stdout
+
+
 def _modules_after(code: str) -> frozenset[str]:
     """``sys.modules`` of a fresh interpreter, run from the repository root, after ``code``."""
-    script = f"import sys; {code}; print(' '.join(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         check=True, cwd=_PACKAGE.parent.parent,
-                         env={**os.environ, "PYTHONPATH": str(_PACKAGE.parent)}).stdout
-    return frozenset(out.split())
+    return frozenset(_fresh(f"import sys; {code}; print(' '.join(sys.modules))").split())
 
 
 def _scipy(modules: frozenset[str]) -> list[str]:
@@ -75,7 +80,7 @@ def test_scipy_integrate_stays_out_of_the_import_graph():
 
 
 def test_scipy_optimize_and_sparse_stay_out_of_the_import_graph():
-    # no scipy module at all: LAPACK is bound at the first banded factorisation
+    # no scipy module at all: grid loads LAPACK at the first banded factorisation
     assert _scipy(_modules_after_fresh_import()) == []
 
 
@@ -88,7 +93,32 @@ def test_scipy_optimize_and_sparse_stay_out_of_the_import_graph():
 def test_only_a_run_that_factors_loads_scipy(tmp_path, command, config, factors):
     argv = [command, f"configs/{config}", "--out", str(tmp_path), "--quiet"]
     loaded = _scipy(_modules_after(f"from mfgplan import cli; assert cli.main({argv!r}) == 0"))
-    if factors:  # the probe sees a LAPACK import when there is one
-        assert "scipy.linalg" in loaded
+    if factors:  # LAPACK's extension alone, without scipy.linalg's package __init__
+        assert "scipy.linalg._flapack" in loaded and "scipy.linalg" not in loaded
     else:
         assert loaded == []
+
+
+_ROUTINES = ("zpbtrf", "zpbtrs", "dpttrf", "dpttrs")
+
+
+@pytest.mark.parametrize("scipy_first", [False, True], ids=["helper-first", "scipy-first"])
+def test_lapack_returns_the_routines_scipy_exports(scipy_first):
+    helper = f"from mfgplan import grid; mine = grid._lapack(*{_ROUTINES!r})"
+    scipy_linalg = "from scipy.linalg import lapack"
+    steps = [scipy_linalg, helper] if scipy_first else [helper, scipy_linalg]
+    check = f"print(all(f is getattr(lapack, n) for f, n in zip(mine, {_ROUTINES!r})))"
+    assert _fresh("; ".join([*steps, check])).split() == ["True"]
+
+
+def test_lapack_names_the_paths_it_tried(tmp_path):
+    # a scipy without a linalg folder: no _flapack file next to scipy.__file__
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    script = ("import importlib.machinery\nfrom mfgplan import grid\n"
+              "try:\n    grid._lapack('dpttrf')\nexcept ImportError as exc:\n    print(exc)\n"
+              "print(*importlib.machinery.EXTENSION_SUFFIXES)")
+    message, suffixes = _fresh(script, tmp_path).splitlines()
+    tried = [str(tmp_path / "scipy" / "linalg" / f"_flapack{s}") for s in suffixes.split()]
+    assert message.startswith("no scipy.linalg._flapack extension")
+    assert tried and all(path in message for path in tried)

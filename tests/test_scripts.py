@@ -79,4 +79,4 @@ def test_startup_times_prints_one_row_per_config():
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
     assert [row[0] for row in rows] == sorted(p.name for p in (ROOT / "configs").glob("*.yaml"))
-    assert all(float(row[1]) > 0.0 and row[-1] == "0" for row in rows)
+    assert all(float(row[1]) > 0.0 and float(row[4]) > 0.0 and row[-1] == "0" for row in rows)
