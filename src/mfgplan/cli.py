@@ -355,11 +355,13 @@ def parse_config(path) -> RunConfig:
     ``_YAML_LOADER``, libyaml's ``CSafeLoader`` if built in, else ``SafeLoader``: both
     build the document with the same safe constructor and resolver, so the values agree."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
         with open(path, "rb") as fh:
             doc = yaml.load(fh, Loader=_YAML_LOADER)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -687,7 +689,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return run_validation(config, quiet=args.quiet)
         return run(config, quiet=args.quiet)
-    except (ConfigError, ValueError, RuntimeError) as exc:
+    except (ConfigError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

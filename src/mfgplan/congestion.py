@@ -67,6 +67,7 @@ from .planning import (
     check_marginal,
     clip_to_floor,
     initial_guess,
+    pair_inner,
     potential_fields,
     project_tangent,
     random_feasible_pair,
@@ -191,9 +192,10 @@ def regularizer_apply(grid: Grid, phi: Field) -> Field:
     return ModeBanded(grid, _regularizer_bands(grid)).apply(phi)
 
 
-def regularizer_quadratic(grid: Grid, phi: Field) -> float:
-    """Value of the sixth-difference quadratic form (no measure factor)."""
-    return float(np.sum(phi * regularizer_apply(grid, phi)))
+def _phi_energy(g: Grid, phi: Field) -> float:
+    """``<phi, phi>_W + dt dx <phi, R phi>``: the phi energy of a regularized level."""
+    reg = float(np.sum(phi * regularizer_apply(g, phi)))
+    return float(np.sum(st_weights(g) * phi * phi)) + g.dt * g.dx * reg
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +231,7 @@ def monotonicity_gap(spec: CongestionSpec, a: PotentialPair, b: PotentialPair) -
     rounding it is nonnegative for strictly feasible pairs.
     """
     ia, ib = apply_F(spec, a), apply_F(spec, b)
-    return _pairing(spec.grid, ia.f1 - ib.f1, ia.f2 - ib.f2, a.phi - b.phi, a.q - b.q)
-
-
-def _pairing(g: Grid, f1: Field, f2: TimeSeries, dphi: Field, dq: TimeSeries) -> float:
-    """``<f1, dphi>_W + <f2, dq>_wt``: an image paired with a difference of pairs."""
-    return float(np.sum(st_weights(g) * f1 * dphi) + np.sum(time_weights(g) * f2 * dq))
+    return pair_inner(spec.grid, (ia.f1 - ib.f1, ia.f2 - ib.f2), (a.phi - b.phi, a.q - b.q))
 
 
 def pointwise_certificate(ya, za, yb, zb, alpha: float):
@@ -260,10 +257,7 @@ def pointwise_certificate(ya, za, yb, zb, alpha: float):
 def inner_phi_objective(spec: CongestionSpec, eps: float, f1: Field, phi: Field) -> float:
     """Quadratic inner objective: eps/2 (mass + sixth form) + <F1, phi>."""
     g = spec.grid
-    w = st_weights(g)
-    mass = float(np.sum(w * phi * phi))
-    reg = g.dt * g.dx * regularizer_quadratic(g, phi)
-    return 0.5 * eps * (mass + reg) + float(np.sum(w * f1 * phi))
+    return 0.5 * eps * _phi_energy(g, phi) + float(np.sum(st_weights(g) * f1 * phi))
 
 
 @dataclass(frozen=True)
@@ -385,19 +379,7 @@ def young_sup(a: float, p: float, mu: float) -> float:
     return a * ystar**p * (mu + 1.0 - p) / (mu + 1.0)
 
 
-def _apriori_constants(spec: CongestionSpec, pp0: PotentialPair) -> tuple[float, float, float]:
-    """The Young suprema ``c1``, ``c2`` and the energy ``r0`` of the interpolant ``pp0``."""
-    g = spec.grid
-    z0, y0 = potential_fields(g, pp0, 0)
-    c1 = young_sup(float(np.max(y0)), spec.mu, spec.mu)
-    c2 = young_sup(float(np.max(np.abs(z0))) ** 2 / spec.k0, spec.alpha, spec.mu)
-    w = st_weights(g)
-    r0 = float(np.sum(w * pp0.phi * pp0.phi)) + g.dt * g.dx * regularizer_quadratic(g, pp0.phi)
-    return c1, c2, r0
-
-
-def apriori_diagnostics(spec: CongestionSpec, eps: float, pp: PotentialPair,
-                        constants: tuple | None = None) -> dict:
+def apriori_diagnostics(spec: CongestionSpec, eps: float, pp: PotentialPair) -> dict:
     """Evaluate the three energy integrals bounded at regularized solutions.
 
     Reported integrals: the congestion energy of the density, the
@@ -409,16 +391,17 @@ def apriori_diagnostics(spec: CongestionSpec, eps: float, pp: PotentialPair,
     boundary terms exactly), and absorb the cross terms by two Young
     inequalities with closed-form suprema.  Only the first two integrals
     are covered by that constant; the third is reported without a bound.
-    ``constants``: :func:`_apriori_constants`, of the interpolant if not given.
     """
     g = spec.grid
-    w = st_weights(g)
-    c1, c2, r0 = constants or _apriori_constants(spec, initial_guess(spec))
-    bound = 2.0 * (0.5 * eps * r0 + g.horizon * (c1 + c2))
+    pp0 = initial_guess(spec)
+    z0, y0 = potential_fields(g, pp0, 0)
+    c1 = young_sup(float(np.max(y0)), spec.mu, spec.mu)
+    c2 = young_sup(float(np.max(np.abs(z0))) ** 2 / spec.k0, spec.alpha, spec.mu)
+    bound = 2.0 * (0.5 * eps * _phi_energy(g, pp0.phi) + g.horizon * (c1 + c2))
 
     y = potential_fields(g, pp, 0)[1]
     mu_energy = float(integrate_xt(g, y ** (spec.mu + 1.0)))
-    e_phi = float(np.sum(w * pp.phi**2)) + g.dt * g.dx * regularizer_quadratic(g, pp.phi)
+    e_phi = _phi_energy(g, pp.phi)
     dq = np.diff(pp.q) / g.dt
     e_q = float(np.sum(time_weights(g) * pp.q**2)) + g.dt * float(np.sum(dq * dq))
     eps_energy = eps * (e_phi + e_q)
@@ -592,7 +575,7 @@ def weak_certificate(
     for k in range(n_tests):
         test = random_feasible_pair(spec, rng, amplitude=amplitude)
         img = apply_F(spec, test)
-        out[k] = _pairing(g, img.f1, img.f2, test.phi - pp.phi, test.q - pp.q)
+        out[k] = pair_inner(g, (img.f1, img.f2), (test.phi - pp.phi, test.q - pp.q))
     return out
 
 
@@ -611,9 +594,7 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
     """
     eps = spec.eps
     lvl = _level(spec, eps)
-    pp = PotentialPair(lvl.interp, np.zeros(spec.grid.nt))
-    constants = _apriori_constants(spec, pp)
-    pp = PotentialPair(clip_to_floor(spec.grid, eps, pp.phi), pp.q)
+    pp = PotentialPair(clip_to_floor(spec.grid, eps, lvl.interp), np.zeros(spec.grid.nt))
     resid = _sweep_residual(spec, lvl, pp)
     trace = [resid]
     newton_status = None
@@ -624,7 +605,7 @@ def solve_congestion(spec: CongestionSpec) -> SolveReport:
         trace.append(_sweep_residual(spec, lvl, cand))
         if trace[-1] < resid:
             pp, resid = cand, trace[-1]
-    level = apriori_diagnostics(spec, eps, pp, constants)
+    level = apriori_diagnostics(spec, eps, pp)
     level.update(
         **counts,
         eps=eps,

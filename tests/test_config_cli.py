@@ -45,6 +45,13 @@ def planning_doc(**overrides):
     return doc
 
 
+def hughes_doc(**block_overrides):
+    block = {"x_min": -4.0, "x_max": 4.0, "nx": 41, "times": [0.0, 0.5],
+             "rho0": {"type": "constant", "value": 0.3}}
+    block.update(block_overrides)
+    return {"schema_version": 1, "mode": "hughes", "hughes": block}
+
+
 # ---------------------------------------------------------------------------
 # parsing and schema
 
@@ -389,6 +396,25 @@ def test_congestion_eps_schedule_is_unknown_key(tmp_path):
     assert str(exc.value) == "schema violation at congestion.eps_schedule: unknown key"
 
 
+@pytest.mark.parametrize("doc, message", [
+    (planning_doc(planning={"m0": "uniform", "mT": "uniform", "order": 2}),
+     "range violation at planning.order: must be 0 or 1, got 2"),
+    (hughes_doc(x_max=-4.0), "range violation at hughes.x_max: window must have positive width"),
+    (hughes_doc(times=[]), "schema violation at hughes.times: expected a nonempty list"),
+    (hughes_doc(speed={"type": "congestion", "beta": 0.6}),
+     "range violation at hughes.speed.beta: 0.6 outside ..., 0.5)"),
+])
+def test_config_error_messages(tmp_path, doc, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(write_config(tmp_path, doc))
+    assert str(exc.value) == message
+
+
+def test_typed_uniform_density_is_ones(tmp_path):
+    doc = planning_doc(planning={"m0": {"type": "uniform"}, "mT": "uniform"})
+    assert np.array_equal(parse_config(write_config(tmp_path, doc)).spec.m0, np.ones(16))
+
+
 def test_repo_example_configs_parse():
     for name, expected in (
         ("planning_uniform.yaml", PlanningSpec),
@@ -480,6 +506,26 @@ def test_hughes_run_constant_density(tmp_path):
     assert (tmp_path / "out" / "solution_ystar.csv").exists()
     with open(tmp_path / "out" / "diagnostics.csv") as fh:
         assert len(fh.readlines()) == 3  # header + one row per time
+
+
+def test_hughes_run_with_congestion_speed(tmp_path):
+    doc = hughes_doc(speed={"type": "congestion", "beta": 0.25})
+    doc["output_dir"] = str(tmp_path / "out")
+    assert main(["solve", str(write_config(tmp_path, doc)), "--quiet"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["converged"] is True
+    _, _, rho = read_field_csv(tmp_path / "out" / "solution_m.csv")
+    assert np.all(np.isfinite(rho))
+
+
+def test_hughes_single_time_has_zero_eikonal_residual(tmp_path):
+    # one evaluation time leaves no time difference to form: the residual is zero by definition
+    doc = hughes_doc(times=[0.5])
+    doc["output_dir"] = str(tmp_path / "out")
+    assert main(["solve", str(write_config(tmp_path, doc)), "--quiet"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["times"] == [0.5]
+    assert report["eikonal_sup"] == 0.0
 
 
 def test_trivial_congestion_run(tmp_path):
@@ -774,6 +820,23 @@ def test_main_reports_config_errors(tmp_path, capsys):
     path.write_text("schema_version: 1\nmode: planning\n  broken: {\n")
     assert main(["solve", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_directory_as_config_is_an_error_line(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read config file {tmp_path}: Is a directory\n"
+    assert "Traceback" not in err
+
+
+def test_existing_file_as_out_is_an_error_line(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = write_config(tmp_path, planning_doc())
+    assert main(["solve", str(path), "--out", str(taken), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "File exists" in err and "Traceback" not in err
 
 
 def test_seed_override_lands_in_report(tmp_path):

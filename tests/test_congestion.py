@@ -1,5 +1,7 @@
 """Congestion operator, inner solvers, fixed-point driver, certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,6 +289,20 @@ def test_inner_phi_descends_below_interpolant():
         spec, eps, f1, interp
     )
     assert np.min(dx_periodic(spec.grid, phi_star) + 1.0) >= eps
+
+
+@pytest.mark.parametrize("s", [0.001, 0.01, 0.05])
+def test_sweep_keeps_the_interpolant_over_a_worse_phi_solve(s):
+    # a phi solve that lands uphill of the interpolant, along the tangent part of W F1
+    g = Grid(nt=9, nx=16, horizon=1.0)
+    spec = CongestionSpec(grid=g, m0=sine_density(g.nx, amplitude=0.3))
+    lvl = _level(spec, spec.eps)
+    pp = PotentialPair(lvl.interp, np.zeros(g.nt))
+    d = project_tangent(g, st_weights(g) * apply_F(spec, pp).f1)
+    d /= np.linalg.norm(d)
+    uphill = dataclasses.replace(lvl, solve=lambda rhs: lvl.interp - lvl.lift + s * d)
+    phi, _ = congestion._sweep(spec, uphill, pp)
+    assert phi is lvl.interp
 
 
 def roll_regularizer(phi):

@@ -309,6 +309,15 @@ def test_minimize_sine_instance():
     assert report.objective_trace[-1] < report.objective_trace[0]
 
 
+def test_minimize_rejects_a_start_with_negative_pinned_density():
+    # the floor repair leaves the pinned rows alone, so the start stays infeasible
+    spec = sine_spec(nt=9, nx=16)
+    start = initial_guess(spec)
+    start.phi[0] += 5.0 * np.sin(2 * np.pi * spec.grid.x)
+    with pytest.raises(ValueError, match="starting pair is infeasible"):
+        minimize(spec, start=start)
+
+
 def test_minimize_warm_start_agreement_small():
     spec = sine_spec(nt=7, nx=12, tol=1e-8)
     rng = np.random.default_rng(11)
