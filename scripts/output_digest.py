@@ -1,13 +1,16 @@
 """Digest of every output a run writes: compare two checkouts' answers byte for byte.
 
-Runs every ``configs/*.yaml`` through ``mfgplan solve`` and prints one
-``sha256  relative/path`` line per output file, plus one line for each run's
-exit code.  ``report.json`` is hashed with its top-level ``wall_time``
-removed, the only field that changes between identical runs.  With
-``--perfbench-seed N`` it also runs every instance ``perfbench/inputs.py``
-generates for that seed and hashes each ``hopf_lax`` point query's result
-(value and optimizer, or the error it raised).  Runs write into a temporary
-directory; nothing is written under ``perfbench/``.
+Runs every ``configs/*.yaml`` through ``mfgplan solve`` twice into the same
+directory and prints one ``sha256  relative/path`` line per output file of
+the second run, plus one line for its exit code.  ``report.json`` is hashed
+with its top-level ``wall_time`` removed, the only field that changes
+between identical runs.  The second run overwrites the first one's files and
+must leave the same digests: if one differs, the script exits 1 and names
+the first such file.  With ``--perfbench-seed N`` it also runs, the same
+way, every instance ``perfbench/inputs.py`` generates for that seed and
+hashes each ``hopf_lax`` point query's result (value and optimizer, or the
+error it raised).  Runs write into a temporary directory; nothing is written
+under ``perfbench/``.
 
     python3 scripts/output_digest.py [--perfbench-seed 3 [--size tiny|full]]
 
@@ -30,18 +33,35 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digest_run(config: Path, out: Path, name: str) -> list[str]:
-    """Solve ``config`` into ``out``; the digest lines of its exit code and files."""
-    rc = cli.main(["solve", str(config), "--out", str(out), "--quiet"])
-    lines = [f"{_sha(str(rc).encode())}  {name}/exit_code"]
+def _digests(rc: int, out: Path, name: str) -> dict[str, str]:
+    """The digest of a run's exit code ``rc`` and of each file in ``out``, by relative path."""
+    digests = {f"{name}/exit_code": _sha(str(rc).encode())}
     for path in sorted(out.iterdir()) if out.exists() else []:
         data = path.read_bytes()
         if path.name == "report.json":
-            report = json.loads(data)
-            report.pop("wall_time", None)
-            data = json.dumps(report, indent=2).encode()
-        lines.append(f"{_sha(data)}  {name}/{path.name}")
-    return lines
+            try:
+                report = json.loads(data)
+            except ValueError:  # hashed as it is: no readable report hashes the same
+                pass
+            else:
+                report.pop("wall_time", None)
+                data = json.dumps(report, indent=2).encode()
+        digests[f"{name}/{path.name}"] = _sha(data)
+    return digests
+
+
+def _digest_run(config: Path, out: Path, name: str) -> list[str]:
+    """Solve ``config`` into ``out`` twice; the digest lines of the second run.
+
+    The second run overwrites the first one's files: exit 1, naming the first file whose
+    digest differs, unless it writes exactly what the first run wrote."""
+    argv = ["solve", str(config), "--out", str(out), "--quiet"]
+    first = _digests(cli.main(argv), out, name)
+    second = _digests(cli.main(argv), out, name)
+    changed = [path for path, digest in second.items() if first.get(path) != digest]
+    if changed:
+        sys.exit(f"error: a rerun into the same directory changed {changed[0]}")
+    return [f"{digest}  {path}" for path, digest in second.items()]
 
 
 def _query_result(spec, t: float, x: float) -> str:

@@ -29,7 +29,9 @@ assumptions, 1 hard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -429,41 +431,42 @@ def _pow10(s: int) -> tuple[float, float]:
     return n / d, (num * d - n * den) / (den * d)
 
 
-def _keep_table() -> np.ndarray:
-    """Row ``18 (k + 100) + nd``: the bytes ``format(v, ".17g")`` shows, less the sign, of a
-    48-byte cell (six words: ``-0.000``, 17 digits each followed by a ``.`` slot, ``e±XXX``,
-    the separator, two unused bytes) at exponent ``k`` (as for +-100 beyond it), ``nd`` digits."""
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The formatter's tables, built on first use.  Keep mask row ``18 (k + 100) + nd``: the
+    bytes ``format(v, ".17g")`` shows, less the sign, of a 48-byte cell (six words: ``-0.000``,
+    17 digits each followed by a ``.`` slot, ``e±XXX``, the separator, two unused bytes) at
+    exponent ``k`` (as for +-100 beyond it), ``nd`` digits."""
     k, nd, pos = (v.astype(np.int16) for v in np.ogrid[-100:101, :18, :48])
     fixed, small = (k >= -4) & (k < 17), (k >= -4) & (k < 0)
     dot = np.where(fixed, np.where(small, 18, k + 1), 1)  # digits before the dot
     shown = np.maximum(nd, np.where(fixed & ~small, k + 1, 0))  # "100", not "1"
     digit, body = (pos - 6) // 2, (pos >= 6) & (pos < 40)
-    return ((pos >= 1) & (pos < 6) & small & (pos - 3 < -k - 1)  # "0." and up to three zeros
+    keep = ((pos >= 1) & (pos < 6) & small & (pos - 3 < -k - 1)  # "0." and up to three zeros
             | body & (pos % 2 == 0) & (digit < shown)
             | body & (pos % 2 == 1) & (digit + 1 == dot) & (shown > dot)
             | (pos >= 40) & (pos < 45) & ~fixed & ((pos != 42) | (np.abs(k) >= 100))
             | (pos == 45)).reshape(-1, 48)
-
-
-_HI, _LO = np.array([_pow10(16 - k) for k in range(_K_MIN, _K_MAX + 1)]).T
-_HH = _SPLIT * _HI - (_SPLIT * _HI - _HI)  # Veltkamp's split: _HI = _HH + (_HI - _HH)
-_POW10, _KEEP = np.column_stack([_HI, _HH, _HI - _HH, _LO]), _keep_table()
-_LEAD = np.frombuffer("".join(f"-0.000{i}." for i in range(10)).encode(), "<u8")
-_EXP = np.frombuffer("".join(f"e{k:+04d}\0\0\0" for k in range(_K_MIN, _K_MAX + 1)).encode(), "<u8")
-_QUAD_DIGITS = np.arange(10000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
-_QUADS = np.insert(48 + _QUAD_DIGITS, range(1, 5), ord("."), axis=1).astype(np.uint8).view("<u8")
-# trailing zero digits of each quad, 4 for 0
-_ZEROS = np.cumprod(_QUAD_DIGITS[:, ::-1] == 0, axis=1, dtype=np.int8).sum(axis=1, dtype=np.int8)
+    hi, lo = np.array([_pow10(16 - k) for k in range(_K_MIN, _K_MAX + 1)]).T
+    hh = _SPLIT * hi - (_SPLIT * hi - hi)  # Veltkamp's split: hi = hh + (hi - hh)
+    lead = np.frombuffer("".join(f"-0.000{i}." for i in range(10)).encode(), "<u8")
+    exp = np.frombuffer("".join(f"e{k:+04d}\0\0\0" for k in range(_K_MIN, _K_MAX + 1)).encode(), "<u8")
+    quad_digits = np.arange(10000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
+    words = np.insert(48 + quad_digits, range(1, 5), ord("."), axis=1).astype(np.uint8).view("<u8")
+    # trailing zero digits of each quad, 4 for 0
+    trail = np.cumprod(quad_digits[:, ::-1] == 0, axis=1, dtype=np.int8).sum(axis=1, dtype=np.int8)
+    return np.column_stack([hi, hh, hi - hh, lo]), keep, lead, exp, words, trail
 
 
 def _format_block(x: np.ndarray, cols: int) -> bytes:
+    pow10, keep_rows, lead, exp, words, trail = _tables()
     fast = (np.abs(x) >= _FAST[0]) & (np.abs(x) <= _FAST[1])
     a = np.where(fast, np.abs(x), 1.0)
     k = np.floor(np.log10(a)).astype(np.intp)
     ah = _SPLIT * a - (_SPLIT * a - a)
     al = a - ah
     for _ in range(2):  # once more where log10 missed the decade
-        hi, hh, hl, lo = _POW10.take(k - _K_MIN, axis=0).T
+        hi, hh, hl, lo = pow10.take(k - _K_MIN, axis=0).T
         p = a * hi
         rest = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo  # Dekker
         frac = rest - np.floor(rest)
@@ -479,11 +482,11 @@ def _format_block(x: np.ndarray, cols: int) -> bytes:
     hi, lo = d // 10**8 % 10**8, d % 10**8
     quads = hi // 10**4, hi % 10**4, lo // 10**4, lo % 10**4
     sep = np.where(np.arange(x.size) % cols < cols - 1, np.uint64(44 << 40), np.uint64(10 << 40))
-    cells = np.column_stack([_LEAD.take(d // 10**16), *(_QUADS.take(q) for q in quads),
-                             _EXP.take(k - _K_MIN) | sep]).view(np.uint8)  # "," or "\n" last
-    zeros = np.where(lo, np.where(quads[3], _ZEROS.take(quads[3]), 4 + _ZEROS.take(quads[2])),
-                     8 + np.where(quads[1], _ZEROS.take(quads[1]), 4 + _ZEROS.take(quads[0])))
-    keep = _KEEP.take(18 * (np.clip(k, -100, 100) + 100) + 17 - zeros, axis=0)
+    cells = np.column_stack([lead.take(d // 10**16), *(words.take(q) for q in quads),
+                             exp.take(k - _K_MIN) | sep]).view(np.uint8)  # "," or "\n" last
+    zeros = np.where(lo, np.where(quads[3], trail.take(quads[3]), 4 + trail.take(quads[2])),
+                     8 + np.where(quads[1], trail.take(quads[1]), 4 + trail.take(quads[0])))
+    keep = keep_rows.take(18 * (np.clip(k, -100, 100) + 100) + 17 - zeros, axis=0)
     keep[:, 0] = x < 0
     text = np.array([format(v, ".17g").encode() for v in x[~fast].tolist()], "S45")
     cells[~fast, :45] = text = text.view(np.uint8).reshape(-1, 45)
@@ -518,7 +521,7 @@ def write_field_csv(path, ts, xs, field) -> None:
                          f"shape (columns,), got ts {ts.shape} and xs {xs.shape}")
     table = np.empty((ts.size + 1, xs.size + 1))
     table[0, 0], table[0, 1:], table[1:, 0], table[1:, 1:] = 0.0, xs, ts, field  # "0" becomes "t"
-    Path(path).write_bytes(b"t" + _format_rows(table)[1:])
+    _write_output(path, b"t" + _format_rows(table)[1:])
 
 
 def write_series_csv(path, ts, series) -> None:
@@ -535,14 +538,21 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, unpack=True))
 
 
-def _write_report(path, summary: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, default=lambda a: a.tolist())  # numpy arrays and scalars
-        fh.write("\n")
+def _write_output(path, data: bytes) -> None:
+    """The one writer of every output: ``data`` goes over the old bytes, then the file is cut.
+    Truncating first (``Path.write_bytes``) makes ext4 (``discard``, x86_64) free and reallocate
+    the blocks: 89-115 us per 32 KB rewrite, not 12-13 us.  No less atomic than cut-then-write."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.truncate()
+
+
+def _write_report(path, summary: dict) -> None:  # numpy arrays and scalars go through tolist
+    _write_output(path, (json.dumps(summary, indent=2, default=lambda a: a.tolist()) + "\n").encode())
 
 
 def _write_diagnostics(path, header: str, *columns) -> None:
-    Path(path).write_bytes(header.encode() + b"\n" + _format_rows(np.column_stack(columns)))
+    _write_output(path, header.encode() + b"\n" + _format_rows(np.column_stack(columns)))
 
 
 # ---------------------------------------------------------------------------

@@ -877,3 +877,74 @@ def test_python_dash_m_runs_from_a_checkout(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["diagnostics"]["exit_reason"] == "converged"
+
+
+# ---------------------------------------------------------------------------
+# reruns and the one output writer
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _without_wall_time(path: Path) -> bytes:
+    """The file's bytes; for ``report.json``, less its ``wall_time`` line."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    if path.name == "report.json":
+        lines = [line for line in lines if not line.startswith(b'  "wall_time": ')]
+    return b"".join(lines)
+
+
+@pytest.mark.parametrize("name", ["hughes_constant", "planning_sine", "congestion_sine"])
+def test_rerun_over_stale_outputs_writes_a_fresh_runs_bytes(tmp_path, name):
+    config = str(SHIPPED / f"{name}.yaml")
+    fresh = tmp_path / "fresh"
+    assert main(["solve", config, "--out", str(fresh), "--quiet"]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    stale = {  # every output file already there, longer or shorter than a fresh run's
+        "padded": lambda data: data + bytes(range(256)) * 4096,  # 1 MiB of junk after it
+        "cut": lambda data: data[:1],
+    }
+    for kind, make in stale.items():
+        out = tmp_path / kind
+        out.mkdir()
+        for file in names:
+            (out / file).write_bytes(make((fresh / file).read_bytes()))
+        assert main(["solve", config, "--out", str(out), "--quiet"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == names
+        for file in names:
+            assert _without_wall_time(out / file) == _without_wall_time(fresh / file), (kind, file)
+
+
+@pytest.mark.parametrize("command, name", [
+    ("solve", "planning_sine"), ("solve", "congestion_sine"), ("solve", "hughes_constant"),
+    ("validate", "validate_quadratic"),
+])
+def test_every_output_goes_through_the_one_writer(tmp_path, monkeypatch, command, name):
+    written = []
+    write = cli._write_output
+
+    def spy(path, data):
+        written.append(Path(path))
+        write(path, data)
+
+    monkeypatch.setattr(cli, "_write_output", spy)
+    assert main([command, str(SHIPPED / f"{name}.yaml"), "--out", str(tmp_path), "--quiet"]) == 0
+    assert sorted(written) == sorted(tmp_path.iterdir())
+
+
+def test_report_bytes_are_what_json_dump_wrote(tmp_path):
+    summary = {
+        "mode": "planning",
+        "seed": np.int64(3),
+        "field": np.array([[0.1, np.nan], [np.inf, -np.inf]]),
+        "scalars": [np.float64(1 / 3), np.float32(1.5), np.int32(-7), np.bool_(True)],
+        "nested": {"empty": np.array([]), "deeper": {"range": np.arange(3), "text": "pré"}},
+        "nan": float("nan"),
+        "inf": float("-inf"),
+    }
+    # the reference: json.dump into a text file, then the closing newline
+    with open(tmp_path / "reference.json", "w") as fh:
+        json.dump(summary, fh, indent=2, default=lambda a: a.tolist())
+        fh.write("\n")
+    cli._write_report(tmp_path / "report.json", summary)
+    assert (tmp_path / "report.json").read_bytes() == (tmp_path / "reference.json").read_bytes()

@@ -122,3 +122,14 @@ def test_lapack_names_the_paths_it_tried(tmp_path):
     tried = [str(tmp_path / "scipy" / "linalg" / f"_flapack{s}") for s in suffixes.split()]
     assert message.startswith("no scipy.linalg._flapack extension")
     assert tried and all(path in message for path in tried)
+
+
+@pytest.mark.parametrize("command, config, builds", [
+    ("validate", "validate_quadratic.yaml", 0),
+    ("solve", "hughes_constant.yaml", 1),
+])
+def test_only_a_run_that_writes_csv_builds_the_formatter_tables(tmp_path, command, config, builds):
+    argv = [command, f"configs/{config}", "--out", str(tmp_path), "--quiet"]
+    script = (f"from mfgplan import cli; assert cli.main({argv!r}) == 0; "
+              "print(cli._tables.cache_info().currsize)")
+    assert _fresh(script).split() == [str(builds)]
